@@ -2,8 +2,9 @@
 
 A bundle is tracked only through the pair (rank, total Chern class); that is
 enough for every operation offered here.  Direct sums multiply total Chern
-classes (Whitney), duals flip the sign of the odd-degree parts, rank-1 twists
-have the classical binomial closed form, and short exact sequences determine
+classes (Whitney), duals flip the sign of the odd-degree parts, a twist by a
+line bundle L with l = c_1(L) is c(E (x) L) = sum_i c_i(E) (1 + l)^{r - i}
+(Fulton, Intersection Theory, Ex. 3.2.2), and short exact sequences determine
 the kernel class by division in the Chow ring.  Virtual differences B - A are
 allowed to carry any integer rank.
 
@@ -21,7 +22,6 @@ allowed to carry any integer rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chow import ChowElement, ProductSpace, hyperplane
 from .errors import RankError, SpaceMismatchError
@@ -106,22 +106,11 @@ def dual(E: BundleClass) -> BundleClass:
     return BundleClass(E.space, E.rank, flipped)
 
 
-def _binomial(n: int, j: int) -> Fraction:
-    """Generalized binomial coefficient n(n-1)...(n-j+1)/j! for integer n."""
-    num = 1
-    for t in range(j):
-        num *= n - t
-    den = 1
-    for t in range(1, j + 1):
-        den *= t
-    return Fraction(num, den)
-
-
 def twist(E: BundleClass, L: BundleClass) -> BundleClass:
-    """Tensor by a line bundle: c_k(E(x)L) = sum_i C(r-i, k-i) c_i(E) c_1(L)^{k-i}.
+    """Tensor by a line bundle: c(E(x)L) = sum_i c_i(E) (1 + l)^{r-i}, l = c_1(L).
 
-    Only honest bundles may be twisted; virtual classes of negative rank are
-    refused because the rank argument of the binomial loses its meaning.
+    Horner in w = (1 + l)^{-1}, times (1 + l)^r: a kernel class can have
+    c_i != 0 for i > r, so r - i must go negative.  Negative r is refused.
     """
     _check_same_space(E, L)
     if L.rank != 1:
@@ -131,17 +120,12 @@ def twist(E: BundleClass, L: BundleClass) -> BundleClass:
             f"cannot twist a virtual class of negative rank {E.rank}"
         )
     space = E.space
-    ell = L.total_chern.graded_part(1)
-    total = ChowElement.zero(space)
-    for k in range(space.total_dimension + 1):
-        ck = ChowElement.zero(space)
-        for i in range(k + 1):
-            ci = E.total_chern.graded_part(i)
-            if ci.is_zero():
-                continue
-            ck = ck + _binomial(E.rank - i, k - i) * ci * ell ** (k - i)
-        total = total + ck
-    return BundleClass(space, E.rank, total)
+    one_plus_ell = 1 + L.total_chern.graded_part(1)
+    w = one_plus_ell.invert_unit_series()
+    series = ChowElement.zero(space)
+    for i in range(space.total_dimension, -1, -1):
+        series = series * w + E.total_chern.graded_part(i)
+    return BundleClass(space, E.rank, series * one_plus_ell**E.rank)
 
 
 def kernel_from_sequence(middle: BundleClass, quotient: BundleClass) -> BundleClass:

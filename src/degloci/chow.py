@@ -4,9 +4,10 @@ The Chow ring of P^{n_1} x ... x P^{n_k} with rational coefficients is the
 truncated polynomial ring Q[H_1, ..., H_k] / (H_1^{n_1+1}, ..., H_k^{n_k+1}),
 where H_i is the hyperplane class pulled back from the i-th factor.  Elements
 are stored sparsely as a map from exponent vectors to nonzero exact rational
-coefficients and are fully reduced at construction time (any term with
-e_i > n_i is dropped), so two elements are equal exactly when their term
-collections coincide.
+coefficients and are fully reduced (no term has e_i > n_i), so two elements
+are equal exactly when their term collections coincide.  The public
+constructor validates and reduces outside input; ring operations build their
+results in this canonical form directly and skip that validation.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
 H_1^{n_1} ... H_k^{n_k}; ``invert_unit_series`` inverts any element with
@@ -29,13 +30,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import NonUnitError, SpaceMismatchError
 from .exact import as_fraction
-
-Exponents = "tuple[int, ...]"
-Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,14 @@ class ChowElement:
             self, "_terms", {e: c for e, c in reduced.items() if c != 0}
         )
 
+    @classmethod
+    def _canonical(cls, space: ProductSpace, terms: dict) -> "ChowElement":
+        """Wrap in-range, zero-free terms with Fraction coefficients as they are."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "_space", space)
+        object.__setattr__(x, "_terms", terms)
+        return x
+
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
 
@@ -110,11 +116,11 @@ class ChowElement:
 
     @classmethod
     def zero(cls, space: ProductSpace) -> "ChowElement":
-        return cls(space, ())
+        return cls._canonical(space, {})
 
     @classmethod
     def one(cls, space: ProductSpace) -> "ChowElement":
-        return cls(space, {(0,) * space.num_factors: 1})
+        return cls._canonical(space, {(0,) * space.num_factors: Fraction(1)})
 
     # -- basic accessors ---------------------------------------------------
 
@@ -160,8 +166,8 @@ class ChowElement:
             self._check_space(other)
             merged = dict(self._terms)
             for e, c in other._terms.items():
-                merged[e] = merged.get(e, Fraction(0)) + c
-            return ChowElement(self._space, merged)
+                merged[e] = merged.get(e, 0) + c
+            return self._canonical(self._space, {e: c for e, c in merged.items() if c})
         c = self._scalar(other)
         if c is None:
             return NotImplemented
@@ -170,7 +176,7 @@ class ChowElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return ChowElement(self._space, {e: -c for e, c in self._terms.items()})
+        return self._canonical(self._space, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, ChowElement):
@@ -196,12 +202,14 @@ class ChowElement:
                     e = tuple(a + b for a, b in zip(e1, e2))
                     if any(x > n for x, n in zip(e, dims)):
                         continue
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-            return ChowElement(self._space, acc)
+                    acc[e] = acc.get(e, 0) + c1 * c2
+            return self._canonical(self._space, {e: c for e, c in acc.items() if c})
         c = self._scalar(other)
         if c is None:
             return NotImplemented
-        return ChowElement(self._space, {e: v * c for e, v in self._terms.items()})
+        return self._canonical(
+            self._space, {e: v * c for e, v in self._terms.items()} if c else {}
+        )
 
     __rmul__ = __mul__
 
@@ -225,7 +233,7 @@ class ChowElement:
         """The sum of terms of the given total degree."""
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-        return ChowElement(
+        return self._canonical(
             self._space, {e: c for e, c in self._terms.items() if sum(e) == degree}
         )
 
@@ -323,7 +331,7 @@ def hyperplane(space: ProductSpace, i: int) -> ChowElement:
         )
     exps = [0] * space.num_factors
     exps[i - 1] = 1
-    return ChowElement(space, {tuple(exps): 1})
+    return ChowElement._canonical(space, {tuple(exps): Fraction(1)})
 
 
 def linear_combine(coeffs, elems) -> ChowElement:

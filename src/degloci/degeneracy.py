@@ -17,9 +17,11 @@ published versions of these formulas: the c_3 coefficient in c_1(Z)^2 is
 -c_1(M) + 2 c_1 (the sign on c_1(M) is negative).  Only the corrected forms
 are exposed; the superseded variants are deliberately not provided.
 
-``double_point_check`` recomputes c_2(Z) along an independent route (a
-double-point style rearrangement of the same data) so callers can
-cross-validate a scenario before trusting it.
+``double_point_check`` recomputes c_2(Z) by a double-point style
+rearrangement of the same data.  It is not an independent route: it shares
+c(B - A) with the formulas above, and its difference from c_2(Z) vanishes
+identically once c(B - A) = c(B) / c(A).  So it catches slips in the ring
+arithmetic, but not an error in either formula.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import BundleClass, chern, virtual_difference
-from .chow import ChowElement, ProductSpace
+from .chow import ChowElement, ProductSpace, hyperplane
 from .errors import InternalCheckError, RankError, SpaceMismatchError
 
 
@@ -62,12 +64,14 @@ class DegeneracyInput:
 
 @dataclass(frozen=True)
 class VirtualChernNumbers:
-    """Degree-4 classes for c_1(Z)^2 and c_2(Z) together with their integrals."""
+    """Degree-4 classes for c_1(Z)^2 and c_2(Z) together with their integrals,
+    and the virtual class B - A they were computed from."""
 
     c1_sq_class: ChowElement
     c2_class: ChowElement
     c1_sq: Fraction
     c2: Fraction
+    difference: BundleClass
 
 
 def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowElement]:
@@ -77,20 +81,14 @@ def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowEl
     """
     total = ChowElement.one(space)
     for i, n in enumerate(space.dims, start=1):
-        exps = [0] * space.num_factors
-        exps[i - 1] = 1
-        h = ChowElement(space, {tuple(exps): 1})
-        total = total * (ChowElement.one(space) + h) ** (n + 1)
+        total = total * (1 + hyperplane(space, i)) ** (n + 1)
     return total.graded_part(1), total.graded_part(2)
 
 
 def _degree4_integral(x: ChowElement) -> Fraction:
     """Integrate a class that must be concentrated in degree 4."""
-    for d in range(x.space.total_dimension + 1):
-        if d != 4 and not x.graded_part(d).is_zero():
-            raise InternalCheckError(
-                f"expected a degree-4 class, found a nonzero part in degree {d}: {x}"
-            )
+    if not x.is_homogeneous(4):
+        raise InternalCheckError(f"expected a degree-4 class, got {x}")
     return x.integrate()
 
 
@@ -120,26 +118,27 @@ def virtual_chern_numbers(inp: DegeneracyInput) -> VirtualChernNumbers:
         c2_class=c2_class,
         c1_sq=_degree4_integral(c1_sq_class),
         c2=_degree4_integral(c2_class),
+        difference=diff,
     )
 
 
 def double_point_check(inp: DegeneracyInput) -> Fraction:
-    """Recompute c_2(Z) by an independent rearrangement of the same data.
+    """Recompute c_2(Z) by a rearrangement of the same data.
 
     Returns c_1(Z)^2 + int[ -((c_1(M) - c_1) c_1(M) c_2 - c_1(M) c_3)
     + c_2(M) c_2 - c_2^2 ].  Callers compare the result against
-    ``virtual_chern_numbers(inp).c2``.
+    ``virtual_chern_numbers(inp).c2``; both share c(B - A), so they agree
+    identically and a mismatch shows a ring slip, never a wrong formula.
     """
-    diff = virtual_difference(inp.B, inp.A)
-    c1 = chern(diff, 1)
-    c2 = chern(diff, 2)
-    c3 = chern(diff, 3)
+    numbers = virtual_chern_numbers(inp)
+    c1 = chern(numbers.difference, 1)
+    c2 = chern(numbers.difference, 2)
+    c3 = chern(numbers.difference, 3)
     c1M = inp.tangent_c1
     c2M = inp.tangent_c2
 
-    c1_sq = virtual_chern_numbers(inp).c1_sq
     correction = -((c1M - c1) * c1M * c2 - c1M * c3) + c2M * c2 - c2 * c2
-    return c1_sq + _degree4_integral(correction)
+    return numbers.c1_sq + _degree4_integral(correction)
 
 
 def degeneracy_class(inp: DegeneracyInput) -> ChowElement:

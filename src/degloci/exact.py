@@ -11,8 +11,6 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-RationalLike = "int | Fraction | str"
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 

@@ -35,7 +35,7 @@ from .base_change import (
     pullback_slope,
     sigma_tilde_self_intersection,
 )
-from .bundles import BundleClass, chern, virtual_difference
+from .bundles import BundleClass, chern
 from .chow import ProductSpace
 from .degeneracy import (
     DegeneracyInput,
@@ -45,14 +45,13 @@ from .degeneracy import (
 )
 from .errors import ExpressionError, InternalCheckError, ScenarioError
 from .exact import as_fraction
-from .expressions import evaluate_expression, parse_expression
+from .expressions import _KEYWORDS, evaluate_expression, parse_expression
 from .families import invariants_from_chern_numbers
 from .report import CheckResult, Report, class_entry, rational_entry, text_entry
 
 BUNDLED_SCENARIOS = ("m15", "m16")
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_GRAMMAR_KEYWORDS = frozenset({"O", "sum", "dual", "twist", "ker"})
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{source}: bundles: at least one bundle is required")
     bundle_exprs = []
     for bname, expr in bundles_raw.items():
-        if not _NAME_RE.match(bname) or bname in _GRAMMAR_KEYWORDS:
+        if not _NAME_RE.match(bname) or bname in _KEYWORDS:
             raise ScenarioError(
                 f"{source}: bundles: {bname!r} is not a usable bundle name"
             )
@@ -298,7 +297,9 @@ def load_bundled_scenario(name: str) -> Scenario:
 def _parse_text(text: str, source: str) -> Scenario:
     try:
         data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
+    except ScenarioError:
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
         raise ScenarioError(f"{source}: not valid JSON: {exc}") from exc
     return parse_scenario_data(data, source)
 
@@ -382,10 +383,9 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
 
     with _stage("degeneracy"):
         inp = DegeneracyInput(scenario.space, tangent_c1, tangent_c2, A, B)
-        diff = virtual_difference(B, A)
         numbers = virtual_chern_numbers(inp)
     for i in range(1, 5):
-        entries.append(class_entry(f"c{i}(B-A)", chern(diff, i)))
+        entries.append(class_entry(f"c{i}(B-A)", chern(numbers.difference, i)))
     entries.append(rational_entry("c1(Z)^2", numbers.c1_sq))
     entries.append(rational_entry("c2(Z)", numbers.c2))
 

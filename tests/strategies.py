@@ -30,6 +30,13 @@ DIM4_SPACES = (
     ProductSpace((1, 1, 2)),
 )
 
+PIPELINE_SPACES = (
+    ProductSpace((1, 3)),
+    ProductSpace((2, 2)),
+    ProductSpace((1, 1, 2)),
+    ProductSpace((1, 1, 1, 1)),
+)
+
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12
 )
@@ -111,12 +118,23 @@ def line_sum_pairs(draw):
 
 @st.composite
 def twist_setups(draw):
-    """(K, Q, L): kernel and quotient line sums plus a twisting line bundle."""
-    space = draw(spaces(DIM4_SPACES))
-    K = bundle_from_summands(space, draw(line_summands(space)))
-    Q = bundle_from_summands(space, draw(line_summands(space)))
+    """(M, Q, L): line sums M and Q with rank M - rank Q in 0..2, plus a
+    twisting line bundle, on a pipeline space.
+
+    M and Q are drawn independently, so the kernel class c(M)/c(Q) mostly has
+    nonzero Chern classes above its rank.
+    """
+    space = draw(spaces(PIPELINE_SPACES))
+    m_summands = draw(line_summands(space))
+    rank_m = sum(mult for _, mult in m_summands)
+    rank_q = rank_m - draw(st.integers(0, min(2, rank_m - 1)))
+    q_summands = [(draw(degree_vectors(space)), 1) for _ in range(rank_q)]
     L = line_bundle(space, draw(degree_vectors(space)))
-    return K, Q, L
+    return (
+        bundle_from_summands(space, m_summands),
+        bundle_from_summands(space, q_summands),
+        L,
+    )
 
 
 @st.composite

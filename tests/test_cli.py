@@ -86,6 +86,16 @@ def test_bad_scenario_data_exits_1(tmp_path, capsys):
     assert "missing required key" in err
 
 
+def test_overlong_integer_literal_exits_1(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"family": {"fiber_genus": ' + "1" * 5000 + "}}")
+    code, out, err = run_cli(capsys, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in ([], ["--scenario", "m99"], ["--scenario", "m15", "--format", "csv"]):
         with pytest.raises(SystemExit) as excinfo:
