@@ -96,31 +96,31 @@ def direct_sum(E: BundleClass, F: BundleClass) -> BundleClass:
 
 def dual(E: BundleClass) -> BundleClass:
     """Dual class: c_i(E^v) = (-1)^i c_i(E); rank unchanged."""
-    flipped = ChowElement(
-        E.space,
-        {
-            exps: c if sum(exps) % 2 == 0 else -c
-            for exps, c in E.total_chern.terms.items()
-        },
-    )
-    return BundleClass(E.space, E.rank, flipped)
+    return BundleClass(E.space, E.rank, E.total_chern._odd_negated())
 
 
 def twist(E: BundleClass, L: BundleClass) -> BundleClass:
     """Tensor by a line bundle: c(E(x)L) = sum_i c_i(E) (1 + l)^{r-i}, l = c_1(L).
 
     Horner in w = (1 + l)^{-1}, times (1 + l)^r: a kernel class can have
-    c_i != 0 for i > r, so r - i must go negative.  Negative r is refused.
+    c_i != 0 for i > r, so r - i must go negative.  Negative r is refused,
+    and so is an L of rank 1 whose total Chern class is not 1 + c_1(L),
+    such as a kernel: it is not a line bundle.
     """
     _check_same_space(E, L)
     if L.rank != 1:
         raise RankError(f"twisting requires a rank-1 bundle, got rank {L.rank}")
+    one_plus_ell = 1 + L.total_chern.graded_part(1)
+    if one_plus_ell != L.total_chern:
+        raise RankError(
+            "twisting requires a line bundle, got a rank-1 class with total "
+            f"Chern class {L.total_chern}"
+        )
     if E.rank < 0:
         raise RankError(
             f"cannot twist a virtual class of negative rank {E.rank}"
         )
     space = E.space
-    one_plus_ell = 1 + L.total_chern.graded_part(1)
     w = one_plus_ell.invert_unit_series()
     series = ChowElement.zero(space)
     for i in range(space.total_dimension, -1, -1):

@@ -2,12 +2,20 @@
 
 The Chow ring of P^{n_1} x ... x P^{n_k} with rational coefficients is the
 truncated polynomial ring Q[H_1, ..., H_k] / (H_1^{n_1+1}, ..., H_k^{n_k+1}),
-where H_i is the hyperplane class pulled back from the i-th factor.  Elements
-are stored sparsely as a map from exponent vectors to nonzero exact rational
-coefficients and are fully reduced (no term has e_i > n_i), so two elements
-are equal exactly when their term collections coincide.  The public
-constructor validates and reduces outside input; ring operations build their
-results in this canonical form directly and skip that validation.
+where H_i is the hyperplane class pulled back from the i-th factor.  It has
+one basis monomial per exponent vector with e_i <= n_i, N = prod_i (n_i + 1)
+of them, taken in lexicographic order.  An element is stored densely: a list
+of N integer numerators over one positive integer denominator, kept in lowest
+terms (gcd(den, *nums) == 1), so two elements are equal exactly when their
+denominators and numerator lists coincide.  That costs N numerators per
+element whatever its sparsity: 8 to 16 on the fourfolds the pipeline uses.
+
+Products read one table per space, built on first use and kept for the life
+of the process: for each monomial, the monomials whose product with it stays
+inside the truncation.  With lexicographic (mixed-radix) indexing, such a
+product has index i + j, so a product visits only those pairs and does
+integer multiply-adds.  The public constructor validates and reduces outside
+input; ring operations build their results canonical directly and skip it.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
 H_1^{n_1} ... H_k^{n_k}; ``invert_unit_series`` inverts any element with
@@ -29,6 +37,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -63,6 +74,63 @@ class ProductSpace:
         return " x ".join(f"P^{n}" for n in self.dims)
 
 
+class _Table:
+    """The monomial basis of one space and its multiplication pattern."""
+
+    __slots__ = ("monomials", "index", "degrees", "partners")
+
+    def __init__(self, dims: tuple[int, ...]):
+        self.monomials = list(product(*(range(n + 1) for n in dims)))
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.degrees = [sum(m) for m in self.monomials]
+        # Per factor, the index offsets of the partner exponents f <= n - e.
+        offsets = []
+        stride = 1
+        for n in reversed(dims):
+            offsets.append([[f * stride for f in range(n + 1 - e)] for e in range(n + 1)])
+            stride *= n + 1
+        offsets.reverse()
+        self.partners = [
+            [sum(p) for p in product(*(per[e] for per, e in zip(offsets, m)))]
+            for m in self.monomials
+        ]
+
+
+_table = cache(_Table)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(space: ProductSpace, nums: list, den: int) -> "ChowElement":
+    """Wrap numerators over a denominator that are already in lowest terms."""
+    x = _new(ChowElement)
+    _set(x, "_space", space)
+    _set(x, "_nums", nums)
+    _set(x, "_den", den)
+    return x
+
+
+def _reduced(space: ProductSpace, nums: list, den: int) -> "ChowElement":
+    """Wrap numerators over a positive denominator, bringing them to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    return _make(space, nums, den)
+
+
+def _scalar(value) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or Fraction; None for anything else."""
+    if isinstance(value, int):
+        return None if isinstance(value, bool) else (value, 1)
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    return None
+
+
 class ChowElement:
     """An element of the truncated ring Q[H_1..H_k] / (H_i^{n_i+1}).
 
@@ -72,15 +140,15 @@ class ChowElement:
     rationals, drops zeros, and reduces eagerly modulo the truncation ideal.
     """
 
-    __slots__ = ("_space", "_terms")
+    __slots__ = ("_space", "_nums", "_den")
 
     def __init__(self, space: ProductSpace, terms=()):
         if not isinstance(space, ProductSpace):
             raise TypeError(f"expected a ProductSpace, got {type(space).__name__}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        dims = space.dims
-        k = len(dims)
-        reduced: dict[tuple[int, ...], Fraction] = {}
+        k = space.num_factors
+        index = _table(space.dims).index
+        reduced: dict[int, Fraction] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != k:
@@ -93,21 +161,19 @@ class ChowElement:
             c = as_fraction(coeff)
             if c == 0:
                 continue
-            if any(e > n for e, n in zip(exps, dims)):
+            i = index.get(exps)
+            if i is None:
                 continue
-            reduced[exps] = reduced.get(exps, Fraction(0)) + c
-        object.__setattr__(self, "_space", space)
-        object.__setattr__(
-            self, "_terms", {e: c for e, c in reduced.items() if c != 0}
-        )
-
-    @classmethod
-    def _canonical(cls, space: ProductSpace, terms: dict) -> "ChowElement":
-        """Wrap in-range, zero-free terms with Fraction coefficients as they are."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "_space", space)
-        object.__setattr__(x, "_terms", terms)
-        return x
+            reduced[i] = reduced.get(i, 0) + c
+        # Each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it.
+        den = lcm(*[c.denominator for c in reduced.values()])
+        nums = [0] * len(index)
+        for i, c in reduced.items():
+            nums[i] = c.numerator * (den // c.denominator)
+        _set(self, "_space", space)
+        _set(self, "_nums", nums)
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
@@ -116,11 +182,13 @@ class ChowElement:
 
     @classmethod
     def zero(cls, space: ProductSpace) -> "ChowElement":
-        return cls._canonical(space, {})
+        return _make(space, [0] * len(_table(space.dims).monomials), 1)
 
     @classmethod
     def one(cls, space: ProductSpace) -> "ChowElement":
-        return cls._canonical(space, {(0,) * space.num_factors: Fraction(1)})
+        nums = [0] * len(_table(space.dims).monomials)
+        nums[0] = 1
+        return _make(space, nums, 1)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -130,86 +198,93 @@ class ChowElement:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        """Read-only view of the canonical sparse term collection."""
-        return MappingProxyType(self._terms)
+        """Read-only map from the exponent vectors of nonzero terms to coefficients."""
+        monomials, den = _table(self._space.dims).monomials, self._den
+        return MappingProxyType(
+            {monomials[i]: Fraction(v, den) for i, v in enumerate(self._nums) if v}
+        )
 
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        i = _table(self._space.dims).index.get(tuple(exponents))
+        return Fraction(0) if i is None else Fraction(self._nums[i], self._den)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self._space.num_factors)
+        return Fraction(self._nums[0], self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(self._nums)
 
     def is_homogeneous(self, degree: int) -> bool:
-        """True when every stored term has the given total degree."""
-        return all(sum(e) == degree for e in self._terms)
+        """True when every nonzero term has the given total degree."""
+        degrees = _table(self._space.dims).degrees
+        return all(d == degree for v, d in zip(self._nums, degrees) if v)
 
     # -- ring operations ---------------------------------------------------
 
     def _check_space(self, other: "ChowElement"):
-        if self._space != other._space:
+        if self._space is not other._space and self._space != other._space:
             raise SpaceMismatchError(
                 f"operands live on different spaces: {self._space} vs {other._space}"
             )
 
-    def _scalar(self, value) -> Fraction | None:
-        if isinstance(value, bool):
-            return None
-        if isinstance(value, (int, Fraction)):
-            return as_fraction(value)
-        return None
-
     def __add__(self, other):
         if isinstance(other, ChowElement):
             self._check_space(other)
-            merged = dict(self._terms)
-            for e, c in other._terms.items():
-                merged[e] = merged.get(e, 0) + c
-            return self._canonical(self._space, {e: c for e, c in merged.items() if c})
-        c = self._scalar(other)
+            d1, d2 = self._den, other._den
+            if d1 == d2:
+                return _reduced(
+                    self._space, [a + b for a, b in zip(self._nums, other._nums)], d1
+                )
+            den = lcm(d1, d2)
+            f1, f2 = den // d1, den // d2
+            return _reduced(
+                self._space,
+                [a * f1 + b * f2 for a, b in zip(self._nums, other._nums)],
+                den,
+            )
+        c = _scalar(other)
         if c is None:
             return NotImplemented
-        return self + c * ChowElement.one(self._space)
+        p, q = c
+        nums = [v * q for v in self._nums] if q != 1 else list(self._nums)
+        nums[0] += p * self._den
+        return _reduced(self._space, nums, self._den * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._canonical(self._space, {e: -c for e, c in self._terms.items()})
+        return _make(self._space, [-v for v in self._nums], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, ChowElement):
-            return self + (-other)
-        c = self._scalar(other)
-        if c is None:
+        if not isinstance(other, ChowElement) and _scalar(other) is None:
             return NotImplemented
-        return self + (-c)
+        return self + (-other)
 
     def __rsub__(self, other):
-        c = self._scalar(other)
-        if c is None:
+        if _scalar(other) is None:
             return NotImplemented
-        return (-self) + c
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, ChowElement):
             self._check_space(other)
-            dims = self._space.dims
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    if any(x > n for x, n in zip(e, dims)):
-                        continue
-                    acc[e] = acc.get(e, 0) + c1 * c2
-            return self._canonical(self._space, {e: c for e, c in acc.items() if c})
-        c = self._scalar(other)
+            partners = _table(self._space.dims).partners
+            ys = other._nums
+            acc = [0] * len(ys)
+            for i, a in enumerate(self._nums):
+                if a:
+                    for j in partners[i]:
+                        b = ys[j]
+                        if b:
+                            acc[i + j] += a * b
+            return _reduced(self._space, acc, self._den * other._den)
+        c = _scalar(other)
         if c is None:
             return NotImplemented
-        return self._canonical(
-            self._space, {e: v * c for e, v in self._terms.items()} if c else {}
-        )
+        p, q = c
+        if not p:
+            return ChowElement.zero(self._space)
+        return _reduced(self._space, [v * p for v in self._nums], self._den * q)
 
     __rmul__ = __mul__
 
@@ -233,13 +308,25 @@ class ChowElement:
         """The sum of terms of the given total degree."""
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-        return self._canonical(
-            self._space, {e: c for e, c in self._terms.items() if sum(e) == degree}
+        degrees = _table(self._space.dims).degrees
+        return _reduced(
+            self._space,
+            [v if d == degree else 0 for v, d in zip(self._nums, degrees)],
+            self._den,
+        )
+
+    def _odd_negated(self) -> "ChowElement":
+        """The image under every H_i -> -H_i: odd-degree terms change sign."""
+        degrees = _table(self._space.dims).degrees
+        return _make(
+            self._space,
+            [-v if d & 1 else v for v, d in zip(self._nums, degrees)],
+            self._den,
         )
 
     def integrate(self) -> Fraction:
         """Degree map: the coefficient of H_1^{n_1} ... H_k^{n_k}."""
-        return self.coefficient(self._space.dims)
+        return Fraction(self._nums[-1], self._den)
 
     def invert_unit_series(self) -> "ChowElement":
         """Multiplicative inverse of an element with constant term 1.
@@ -267,25 +354,30 @@ class ChowElement:
     def __eq__(self, other):
         if not isinstance(other, ChowElement):
             return NotImplemented
-        return self._space == other._space and self._terms == other._terms
+        return (
+            self._space == other._space
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self._space, frozenset(self._terms.items())))
+        return hash((self._space, self._den, tuple(self._nums)))
 
     # -- canonical text form -----------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
+        monomials, den = _table(self._space.dims).monomials, self._den
         parts = []
-        for exps, coeff in sorted(self._terms.items(), reverse=True):
-            factors = [str(coeff)]
-            for i, e in enumerate(exps):
+        for i in range(len(monomials) - 1, -1, -1):
+            if not self._nums[i]:
+                continue
+            factors = [str(Fraction(self._nums[i], den))]
+            for f, e in enumerate(monomials[i]):
                 if e == 0:
                     continue
-                factors.append(f"H{i + 1}" if e == 1 else f"H{i + 1}^{e}")
+                factors.append(f"H{f + 1}" if e == 1 else f"H{f + 1}^{e}")
             parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"<ChowElement {self} on {self._space}>"
@@ -331,7 +423,10 @@ def hyperplane(space: ProductSpace, i: int) -> ChowElement:
         )
     exps = [0] * space.num_factors
     exps[i - 1] = 1
-    return ChowElement._canonical(space, {tuple(exps): Fraction(1)})
+    table = _table(space.dims)
+    nums = [0] * len(table.monomials)
+    nums[table.index[tuple(exps)]] = 1
+    return _make(space, nums, 1)
 
 
 def linear_combine(coeffs, elems) -> ChowElement:

@@ -6,13 +6,14 @@ Scenario files name bundles by small expressions:
           | O(a1,...,ak)^m      direct sum of m copies, m >= 1
           | sum(expr, expr)     direct sum
           | dual(expr)
-          | twist(expr, expr)   second operand must evaluate to rank 1
+          | twist(expr, expr)   second operand must evaluate to a line bundle
           | ker(expr -> expr)   kernel of a surjection middle -> quotient
           | name                reference to another named bundle
 
 Parsing builds a small AST; evaluation maps it to BundleClass values through
 a caller-supplied resolver for names, which is where reference cycles are
-caught.
+caught.  An expression may nest at most ``MAX_DEPTH`` levels deep (``O(..)``
+and a name count as one level each); deeper input is an ExpressionError.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = frozenset({"O", "sum", "dual", "twist", "ker"})
+
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ class _Parser:
         return tok
 
     def parse(self) -> Expression:
-        expr = self._parse_expr()
+        expr = self._parse_expr(1)
         tok = self._peek()
         if tok is not None:
             raise ExpressionError(
@@ -127,8 +130,12 @@ class _Parser:
             )
         return expr
 
-    def _parse_expr(self) -> Expression:
+    def _parse_expr(self, depth: int) -> Expression:
         tok = self._next()
+        if depth > MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nested deeper than {MAX_DEPTH} levels at position {tok[2]}"
+            )
         if tok[0] != "name":
             raise ExpressionError(
                 f"expected an expression at position {tok[2]} in {self.text!r}, got {tok[1]!r}"
@@ -138,28 +145,28 @@ class _Parser:
             return self._parse_line_bundle()
         if head == "sum":
             self._expect("sym", "(")
-            left = self._parse_expr()
+            left = self._parse_expr(depth + 1)
             self._expect("sym", ",")
-            right = self._parse_expr()
+            right = self._parse_expr(depth + 1)
             self._expect("sym", ")")
             return SumExpr(left, right)
         if head == "dual":
             self._expect("sym", "(")
-            inner = self._parse_expr()
+            inner = self._parse_expr(depth + 1)
             self._expect("sym", ")")
             return DualExpr(inner)
         if head == "twist":
             self._expect("sym", "(")
-            inner = self._parse_expr()
+            inner = self._parse_expr(depth + 1)
             self._expect("sym", ",")
-            line = self._parse_expr()
+            line = self._parse_expr(depth + 1)
             self._expect("sym", ")")
             return TwistExpr(inner, line)
         if head == "ker":
             self._expect("sym", "(")
-            middle = self._parse_expr()
+            middle = self._parse_expr(depth + 1)
             self._expect("arrow")
-            quotient = self._parse_expr()
+            quotient = self._parse_expr(depth + 1)
             self._expect("sym", ")")
             return KerExpr(middle, quotient)
         return NameRef(head)

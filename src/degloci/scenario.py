@@ -335,11 +335,16 @@ def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
         resolved[ref] = value
         return value
 
-    for bname, _ in scenario.bundle_exprs:
-        try:
-            resolve(bname)
-        except (ExpressionError, ValueError) as exc:
-            raise ScenarioError(f"bundles.{bname}: {exc}") from exc
+    try:
+        for bname, _ in scenario.bundle_exprs:
+            try:
+                resolve(bname)
+            except (ExpressionError, ValueError) as exc:
+                raise ScenarioError(f"bundles.{bname}: {exc}") from exc
+    finally:
+        # ``resolve`` refers to itself through its closure cell; without
+        # this the closure and everything it reached would be cyclic garbage.
+        del resolve
     return resolved
 
 

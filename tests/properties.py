@@ -1,4 +1,7 @@
-"""Randomized property suites, each sized to at least 200 cases.
+"""Randomized property suites, each sized to 200 cases.
+
+The exception is ``dense_kernel_matches_naive`` at 40: its naive reference
+convolutions on spaces with up to 81 monomials cost far more per case.
 
 Every suite is a plain callable (hypothesis drives the randomization inside)
 so the acceptance gate can execute the full set directly; the topic test
@@ -54,6 +57,65 @@ def ring_axioms(triple):
     assert x * (y + z) == x * y + x * z
     assert one * x == x
     assert zero * x == zero
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _naive_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(out)
+
+
+def _naive_mul(dims, a: dict, b: dict) -> dict:
+    """Truncated convolution of two exponent-to-Fraction dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if all(x <= n for x, n in zip(e, dims)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def _naive_unit_inverse(dims, positive: dict) -> dict:
+    """The inverse of 1 + p by the fixed point y = 1 - p*y, reached after dim steps."""
+    one = {(0,) * len(dims): Fraction(1)}
+    y = one
+    for _ in range(sum(dims)):
+        y = _naive_add(one, {e: -c for e, c in _naive_mul(dims, positive, y).items()})
+    return y
+
+
+@settings(max_examples=40, deadline=None)
+@given(stg.kernel_setups())
+def dense_kernel_matches_naive(setup):
+    space, a, b, s = setup
+    dims = space.dims
+    a, b = _nonzero(a), _nonzero(b)
+    x, y = ChowElement(space, a), ChowElement(space, b)
+    assert dict(x.terms) == a
+    assert dict((x * y).terms) == _naive_mul(dims, a, b)
+    assert dict((x + y).terms) == _naive_add(a, b)
+    assert dict((s * x).terms) == _nonzero({e: s * c for e, c in a.items()})
+    for d in range(space.total_dimension + 1):
+        assert dict(x.graded_part(d).terms) == {e: c for e, c in a.items() if sum(e) == d}
+    assert x.integrate() == a.get(dims, 0)
+    positive = {e: c for e, c in a.items() if sum(e) > 0}
+    inverse = (1 + ChowElement(space, positive)).invert_unit_series()
+    assert dict(inverse.terms) == _naive_unit_inverse(dims, positive)
+    for lhs, rhs in (
+        ((x * Fraction(1, 2)) * 2, x),
+        ((x + y) - y, x),
+        (x * y, y * x),
+        (ChowElement(space, dict(x.terms)), x),
+        (ChowElement.from_text(space, str(x)), x),
+    ):
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
 
 
 @SUITE
@@ -149,6 +211,7 @@ ALL_SUITES = (
     ("ring_axioms", ring_axioms),
     ("truncation_idempotence", truncation_idempotence),
     ("mul_invert_is_one", mul_invert_is_one),
+    ("dense_kernel_matches_naive", dense_kernel_matches_naive),
     ("whitney_cancellation", whitney_cancellation),
     ("twist_sequence_commutation", twist_sequence_commutation),
     ("beta_sigma_identity", beta_sigma_identity),

@@ -37,6 +37,12 @@ PIPELINE_SPACES = (
     ProductSpace((1, 1, 1, 1)),
 )
 
+KERNEL_SPACES = PIPELINE_SPACES + (
+    ProductSpace((3, 3, 3)),
+    ProductSpace((6, 6)),
+    ProductSpace((2, 2, 2, 2)),
+)
+
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12
 )
@@ -57,6 +63,14 @@ def chow_elements(draw, space: ProductSpace, max_terms: int = 6):
         st.dictionaries(exponent_vectors(space), rationals, max_size=max_terms)
     )
     return ChowElement(space, terms)
+
+
+@st.composite
+def kernel_setups(draw):
+    """(space, terms, terms, scalar): in-range term dicts with mixed denominators."""
+    space = draw(spaces(KERNEL_SPACES))
+    terms = st.dictionaries(exponent_vectors(space), rationals, max_size=10)
+    return space, draw(terms), draw(terms), draw(rationals)
 
 
 @st.composite

@@ -139,8 +139,8 @@ def test_criterion_6_property_suites():
             suite()
         except BaseException as exc:  # hypothesis failures include asserts
             failures.append((f"{name}: {exc}", False))
-    checks = failures or [("all randomized suites (200 cases each)", True)]
-    _verdict(6, "randomized property suites hold at 200 cases each", checks)
+    checks = failures or [("all randomized suites (200 cases each, dense kernel 40)", True)]
+    _verdict(6, "randomized property suites hold at 200 cases each (dense kernel 40)", checks)
 
 
 def test_criterion_7_determinism():

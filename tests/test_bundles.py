@@ -100,6 +100,14 @@ def test_twist_rank_errors():
         twist(virtual, line_bundle(P13, (0, 1)))
 
 
+def test_twist_refuses_rank_one_class_that_is_not_a_line_bundle():
+    # ker(O^2 -> O(0,1)) has rank 1 but c = 1/(1 + H2) = 1 - H2 + H2^2 - H2^3.
+    kernel = kernel_from_sequence(trivial_bundle(P13, 2), line_bundle(P13, (0, 1)))
+    assert kernel.rank == 1
+    with pytest.raises(RankError, match="line bundle"):
+        twist(line_bundle(P13, (1, 0)), kernel)
+
+
 def test_kernel_from_sequence_examples():
     E = m15_kernel()
     assert E.rank == 5

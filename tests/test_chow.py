@@ -181,3 +181,7 @@ def test_truncation_idempotence():
 
 def test_mul_invert_is_one():
     properties.mul_invert_is_one()
+
+
+def test_dense_kernel_matches_naive():
+    properties.dense_kernel_matches_naive()

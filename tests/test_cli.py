@@ -96,6 +96,45 @@ def test_overlong_integer_literal_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _scenario_file(tmp_path, bundles):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "hostile",
+                "space": [1, 3],
+                "bundles": bundles,
+                "degeneracy": {"a": "A", "b": "B"},
+                "family": {"fiber_genus": 2, "base_genus": 0},
+            }
+        )
+    )
+    return str(path)
+
+
+def test_twist_by_rank_one_kernel_exits_1(tmp_path, capsys):
+    path = _scenario_file(
+        tmp_path,
+        {"A": "O(0,0)^1", "B": "sum(O(0,0), twist(O(1,0), ker(O(0,0)^2 -> O(0,1))))"},
+    )
+    code, out, err = run_cli(capsys, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "line bundle" in err
+
+
+def test_deeply_nested_expression_exits_1(tmp_path, capsys):
+    deep = "dual(" * 3000 + "O(1,0)" + ")" * 3000
+    path = _scenario_file(tmp_path, {"A": "O(0,0)^1", "B": f"sum(O(0,1), {deep})"})
+    code, out, err = run_cli(capsys, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "nested deeper than" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in ([], ["--scenario", "m99"], ["--scenario", "m15", "--format", "csv"]):
         with pytest.raises(SystemExit) as excinfo:

@@ -15,6 +15,7 @@ from degloci import (
     twist,
 )
 from degloci.expressions import (
+    MAX_DEPTH,
     DualExpr,
     KerExpr,
     LineBundleExpr,
@@ -67,6 +68,15 @@ def test_parse_errors():
     for text in bad:
         with pytest.raises(ExpressionError):
             parse_expression(text)
+
+
+def test_nesting_depth_bound():
+    def nested(depth):
+        return "dual(" * (depth - 1) + "O(1,0)" + ")" * (depth - 1)
+
+    assert isinstance(parse_expression(nested(MAX_DEPTH)), DualExpr)
+    with pytest.raises(ExpressionError, match="nested deeper than"):
+        parse_expression(nested(MAX_DEPTH + 1))
 
 
 def test_evaluate_matches_direct_construction():

@@ -1,5 +1,6 @@
 """Scenario schema validation, bundled scenarios, and the pipeline runner."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -159,6 +160,16 @@ def test_resolve_bundles_results():
     assert env["A"].rank == 4
     assert env["E"].rank == 5
     assert env["B"].rank == 5
+
+
+def test_resolve_bundles_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        resolve_bundles(load_bundled_scenario("m15"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_m15_report_values():
