@@ -6,7 +6,9 @@ classes (Whitney), duals flip the sign of the odd-degree parts, a twist by a
 line bundle L with l = c_1(L) is c(E (x) L) = sum_i c_i(E) (1 + l)^{r - i}
 (Fulton, Intersection Theory, Ex. 3.2.2), and short exact sequences determine
 the kernel class by division in the Chow ring.  Virtual differences B - A are
-allowed to carry any integer rank.
+allowed to carry any integer rank.  Every power of 1 + l, the total Chern
+class of a line bundle and the factors of a twist alike, comes from the
+binomial series, not from repeated products.
 
 >>> from .chow import ProductSpace
 >>> P13 = ProductSpace((1, 3))
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import ChowElement, ProductSpace, hyperplane
+from .chow import ChowElement, ProductSpace, _one_plus_linear_power
 from .errors import RankError, SpaceMismatchError
 
 
@@ -76,10 +78,7 @@ def line_bundle(
         raise ValueError(
             f"multiplicity must be a positive integer, got {multiplicity!r}"
         )
-    c1 = ChowElement.zero(space)
-    for i, a in enumerate(degrees, start=1):
-        c1 = c1 + a * hyperplane(space, i)
-    total = (ChowElement.one(space) + c1) ** multiplicity
+    total = _one_plus_linear_power(space, degrees, 1, multiplicity)
     return BundleClass(space, multiplicity, total)
 
 
@@ -102,10 +101,10 @@ def dual(E: BundleClass) -> BundleClass:
 def twist(E: BundleClass, L: BundleClass) -> BundleClass:
     """Tensor by a line bundle: c(E(x)L) = sum_i c_i(E) (1 + l)^{r-i}, l = c_1(L).
 
-    Horner in w = (1 + l)^{-1}, times (1 + l)^r: a kernel class can have
-    c_i != 0 for i > r, so r - i must go negative.  Negative r is refused,
-    and so is an L of rank 1 whose total Chern class is not 1 + c_1(L),
-    such as a kernel: it is not a line bundle.
+    Horner in w = (1 + l)^{-1}, times (1 + l)^r, both from the binomial
+    series: a kernel class can have c_i != 0 for i > r, so r - i must go
+    negative.  Negative r is refused, and so is an L of rank 1 whose total
+    Chern class is not 1 + c_1(L), such as a kernel: it is not a line bundle.
     """
     _check_same_space(E, L)
     if L.rank != 1:
@@ -121,11 +120,12 @@ def twist(E: BundleClass, L: BundleClass) -> BundleClass:
             f"cannot twist a virtual class of negative rank {E.rank}"
         )
     space = E.space
-    w = one_plus_ell.invert_unit_series()
+    w = one_plus_ell._one_plus_c1_power(-1)
     series = ChowElement.zero(space)
     for i in range(space.total_dimension, -1, -1):
         series = series * w + E.total_chern.graded_part(i)
-    return BundleClass(space, E.rank, series * one_plus_ell**E.rank)
+    total = series * one_plus_ell._one_plus_c1_power(E.rank)
+    return BundleClass(space, E.rank, total)
 
 
 def kernel_from_sequence(middle: BundleClass, quotient: BundleClass) -> BundleClass:

@@ -12,15 +12,20 @@ element whatever its sparsity: 8 to 16 on the fourfolds the pipeline uses.
 
 Products read one table per space, built on first use and kept for the life
 of the process: for each monomial, the monomials whose product with it stays
-inside the truncation.  With lexicographic (mixed-radix) indexing, such a
-product has index i + j, so a product visits only those pairs and does
-integer multiply-adds.  The public constructor validates and reduces outside
-input; ring operations build their results canonical directly and skip it.
+inside the truncation, in ascending index order.  With lexicographic
+(mixed-radix) indexing, such a product has index i + j, so a product visits
+only those pairs and does integer multiply-adds; squaring visits each
+unordered pair once.  The public constructor validates outside input,
+accumulates integer numerators over one lcm of the denominators and reduces
+once; ring operations build their results canonical directly and skip it.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
-H_1^{n_1} ... H_k^{n_k}; ``invert_unit_series`` inverts any element with
-constant term 1 via the terminating geometric series, which is what division
-of total Chern classes amounts to in this ring.
+H_1^{n_1} ... H_k^{n_k}.  ``invert_unit_series`` inverts any element with
+constant term 1, which is what division of total Chern classes amounts to in
+this ring, by a triangular solve of x * y = 1 in index order: every partner
+of y_k in that equation has a smaller index.  Powers (1 + l)^r of a linear
+class, for any integer r, come from the binomial series in one pass over the
+monomials (Fulton, Intersection Theory, Ex. 3.2.2).
 
 >>> P13 = ProductSpace((1, 3))
 >>> h1, h2 = hyperplane(P13, 1), hyperplane(P13, 2)
@@ -35,11 +40,12 @@ Fraction(4, 1)
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -77,12 +83,17 @@ class ProductSpace:
 class _Table:
     """The monomial basis of one space and its multiplication pattern."""
 
-    __slots__ = ("monomials", "index", "degrees", "partners")
+    __slots__ = ("monomials", "index", "degrees", "multinomials", "partners", "linear")
 
     def __init__(self, dims: tuple[int, ...]):
         self.monomials = list(product(*(range(n + 1) for n in dims)))
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = [sum(m) for m in self.monomials]
+        # |e|! / prod_i e_i!, the multinomial coefficient of each monomial H^e.
+        self.multinomials = [
+            factorial(d) // prod(map(factorial, m))
+            for m, d in zip(self.monomials, self.degrees)
+        ]
         # Per factor, the index offsets of the partner exponents f <= n - e.
         offsets = []
         stride = 1
@@ -94,6 +105,8 @@ class _Table:
             [sum(p) for p in product(*(per[e] for per, e in zip(offsets, m)))]
             for m in self.monomials
         ]
+        # The indices of H_1, ..., H_k: the strides of the mixed radix.
+        self.linear = [offsets[i][0][1] for i in range(len(dims))]
 
 
 _table = cache(_Table)
@@ -112,14 +125,19 @@ def _make(space: ProductSpace, nums: list, den: int) -> "ChowElement":
     return x
 
 
-def _reduced(space: ProductSpace, nums: list, den: int) -> "ChowElement":
-    """Wrap numerators over a positive denominator, bringing them to lowest terms."""
+def _lowest(nums: list, den: int) -> tuple[list, int]:
+    """Numerators over a positive denominator, brought to lowest terms."""
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
             nums = [v // g for v in nums]
             den //= g
-    return _make(space, nums, den)
+    return nums, den
+
+
+def _reduced(space: ProductSpace, nums: list, den: int) -> "ChowElement":
+    """Wrap numerators over a positive denominator, bringing them to lowest terms."""
+    return _make(space, *_lowest(nums, den))
 
 
 def _scalar(value) -> tuple[int, int] | None:
@@ -148,7 +166,8 @@ class ChowElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         k = space.num_factors
         index = _table(space.dims).index
-        reduced: dict[int, Fraction] = {}
+        where: list[int] = []
+        coeffs: list[Fraction] = []
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != k:
@@ -159,18 +178,16 @@ class ChowElement:
                 if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                     raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
             c = as_fraction(coeff)
-            if c == 0:
-                continue
             i = index.get(exps)
-            if i is None:
-                continue
-            reduced[i] = reduced.get(i, 0) + c
-        # Each coefficient is in lowest terms, so over the lcm of their
-        # denominators the numerators share no factor with it.
-        den = lcm(*[c.denominator for c in reduced.values()])
+            if i is not None:
+                where.append(i)
+                coeffs.append(c)
+        den = lcm(*[c.denominator for c in coeffs])
         nums = [0] * len(index)
-        for i, c in reduced.items():
-            nums[i] = c.numerator * (den // c.denominator)
+        for i, c in zip(where, coeffs):
+            nums[i] += c.numerator * (den // c.denominator)
+        # Terms of one monomial can cancel, so the sums may share a factor with den.
+        nums, den = _lowest(nums, den)
         _set(self, "_space", space)
         _set(self, "_nums", nums)
         _set(self, "_den", den)
@@ -291,16 +308,35 @@ class ChowElement:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = ChowElement.one(self._space)
+        result = None
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
-                base = base * base
-        return result
+                base = base._square()
+        return ChowElement.one(self._space) if result is None else result
+
+    def _square(self) -> "ChowElement":
+        """self * self, visiting each unordered pair of monomials once."""
+        partners = _table(self._space.dims).partners
+        xs = self._nums
+        acc = [0] * len(xs)
+        for i, a in enumerate(xs):
+            if a:
+                row = partners[i]
+                start = bisect_left(row, i)  # the partners j >= i
+                if start < len(row) and row[start] == i:
+                    acc[i + i] += a * a
+                    start += 1
+                twice = a + a
+                for j in row[start:]:
+                    b = xs[j]
+                    if b:
+                        acc[i + j] += twice * b
+        return _reduced(self._space, acc, self._den * self._den)
 
     # -- grading and the degree map ----------------------------------------
 
@@ -331,23 +367,44 @@ class ChowElement:
     def invert_unit_series(self) -> "ChowElement":
         """Multiplicative inverse of an element with constant term 1.
 
-        Computed as the geometric series sum_j (1 - x)^j, which terminates
-        because positive-degree elements are nilpotent in the truncated ring.
+        Writing self = X / d, the inverse has y_k = W_k / d^{deg k} with
+        W_0 = 1 and W_k = -sum_{i > 0} X_i d^{deg i - 1} W_{k - i}; every
+        k - i is a smaller index, so one pass in index order, pushing each
+        finished W_j to its partners, solves it in integers.
         """
-        if self.constant_term() != 1:
+        xs, d = self._nums, self._den
+        if xs[0] != d:
             raise NonUnitError(
                 f"cannot invert: degree-0 part is {self.constant_term()}, not 1"
             )
-        one = ChowElement.one(self._space)
-        u = one - self
-        result = one
-        power = one
-        for _ in range(self._space.total_dimension):
-            power = power * u
-            if power.is_zero():
-                break
-            result = result + power
-        return result
+        table = _table(self._space.dims)
+        partners, degrees = table.partners, table.degrees
+        top = degrees[-1]
+        dpow = [1]
+        for _ in range(top):
+            dpow.append(dpow[-1] * d)
+        scaled = [0] + [v * dpow[g - 1] for v, g in zip(xs[1:], degrees[1:])]
+        ws = [0] * len(xs)
+        ws[0] = 1
+        # Every push goes to a larger index, so enumerate reads each W_j complete.
+        for j, w in enumerate(ws):
+            if j:
+                w = ws[j] = -w
+            if w:
+                for i in partners[j]:
+                    a = scaled[i]
+                    if a:
+                        ws[i + j] += a * w
+        if d != 1:
+            ws = [w * dpow[top - g] for w, g in zip(ws, degrees)]
+        return _reduced(self._space, ws, dpow[top])
+
+    def _one_plus_c1_power(self, r: int) -> "ChowElement":
+        """(1 + c)^r for any integer r, where c is the degree-1 part of self."""
+        linear = _table(self._space.dims).linear
+        return _one_plus_linear_power(
+            self._space, [self._nums[i] for i in linear], self._den, r
+        )
 
     # -- comparison and hashing --------------------------------------------
 
@@ -421,12 +478,35 @@ def hyperplane(space: ProductSpace, i: int) -> ChowElement:
         raise ValueError(
             f"factor index must be between 1 and {space.num_factors}, got {i!r}"
         )
-    exps = [0] * space.num_factors
-    exps[i - 1] = 1
     table = _table(space.dims)
     nums = [0] * len(table.monomials)
-    nums[table.index[tuple(exps)]] = 1
+    nums[table.linear[i - 1]] = 1
     return _make(space, nums, 1)
+
+
+def _one_plus_linear_power(space: ProductSpace, coeffs, den: int, r: int) -> ChowElement:
+    """(1 + sum_i coeffs[i] H_{i+1} / den)^r for integer coeffs, den > 0 and any integer r.
+
+    By the binomial series the coefficient of H^e, with |e| = s, is
+    binomial(r, s) * s! / prod_i e_i! * prod_i coeffs[i]^{e_i} / den^s, an
+    integer over den^s (the binomial is an integer for negative r too).
+    """
+    table = _table(space.dims)
+    top = space.total_dimension
+    lead = [1]
+    for s in range(top):
+        lead.append(lead[-1] * (r - s) // (s + 1))
+    if den != 1:
+        lead = [v * den ** (top - s) for s, v in enumerate(lead)]
+    # prod_i coeffs[i]^{e_i}, built factor by factor in index order.
+    powers = [1]
+    for c, n in zip(coeffs, space.dims):
+        row = [c**e for e in range(n + 1)]
+        powers = [v * p for v in powers for p in row]
+    nums = [
+        lead[s] * m * v for v, m, s in zip(powers, table.multinomials, table.degrees)
+    ]
+    return _reduced(space, nums, den**top)
 
 
 def linear_combine(coeffs, elems) -> ChowElement:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import BundleClass, chern, virtual_difference
-from .chow import ChowElement, ProductSpace, hyperplane
+from .chow import ChowElement, ProductSpace, _one_plus_linear_power
 from .errors import InternalCheckError, RankError, SpaceMismatchError
 
 
@@ -80,8 +80,9 @@ def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowEl
     The Euler sequence gives c(T) = prod_i (1 + H_i)^{n_i + 1}, reduced.
     """
     total = ChowElement.one(space)
-    for i, n in enumerate(space.dims, start=1):
-        total = total * (1 + hyperplane(space, i)) ** (n + 1)
+    for i, n in enumerate(space.dims):
+        unit = [int(j == i) for j in range(space.num_factors)]
+        total = total * _one_plus_linear_power(space, unit, 1, n + 1)
     return total.graded_part(1), total.graded_part(2)
 
 

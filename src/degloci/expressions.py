@@ -87,11 +87,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ExpressionError(
                 f"unexpected character {rest[0]!r} at position {pos} in {text!r}"
             )
-        for kind in ("arrow", "int", "name", "sym"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value, m.start(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 
@@ -201,6 +198,25 @@ def parse_expression(text: str) -> Expression:
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError(f"expected a nonempty expression string, got {text!r}")
     return _Parser(text).parse()
+
+
+def _referenced_names(expr: Expression) -> list[str]:
+    """The bundle names an AST refers to, in the order evaluation reaches them."""
+    names = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, NameRef):
+            names.append(node.name)
+        elif isinstance(node, SumExpr):
+            stack += (node.right, node.left)
+        elif isinstance(node, DualExpr):
+            stack.append(node.inner)
+        elif isinstance(node, TwistExpr):
+            stack += (node.line, node.inner)
+        elif isinstance(node, KerExpr):
+            stack += (node.quotient, node.middle)
+    return names
 
 
 def evaluate_expression(

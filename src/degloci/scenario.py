@@ -45,7 +45,12 @@ from .degeneracy import (
 )
 from .errors import ExpressionError, InternalCheckError, ScenarioError
 from .exact import as_fraction
-from .expressions import _KEYWORDS, evaluate_expression, parse_expression
+from .expressions import (
+    _KEYWORDS,
+    _referenced_names,
+    evaluate_expression,
+    parse_expression,
+)
 from .families import invariants_from_chern_numbers
 from .report import CheckResult, Report, class_entry, rational_entry, text_entry
 
@@ -301,6 +306,10 @@ def _parse_text(text: str, source: str) -> Scenario:
         raise
     except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
         raise ScenarioError(f"{source}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise ScenarioError(
+            f"{source}: not valid JSON: arrays or objects nested too deeply"
+        ) from exc
     return parse_scenario_data(data, source)
 
 
@@ -308,43 +317,47 @@ def _parse_text(text: str, source: str) -> Scenario:
 
 
 def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
-    """Evaluate every named bundle expression, catching unknown names and cycles."""
+    """Evaluate every named bundle expression, catching unknown names and cycles.
+
+    Names are resolved in dependency order by an explicit depth-first walk,
+    so a long chain of references costs no stack; each expression is
+    evaluated once every name it refers to is resolved.
+    """
     asts = {}
     for bname, text in scenario.bundle_exprs:
         try:
             asts[bname] = parse_expression(text)
         except ExpressionError as exc:
             raise ScenarioError(f"bundles.{bname}: {exc}") from exc
+    refs = {bname: _referenced_names(ast) for bname, ast in asts.items()}
 
     resolved: dict[str, BundleClass] = {}
-    resolving: list[str] = []
-
-    def resolve(ref: str) -> BundleClass:
-        if ref in resolved:
-            return resolved[ref]
-        if ref not in asts:
-            raise ExpressionError(f"undefined bundle name {ref!r}")
-        if ref in resolving:
-            cycle = " -> ".join(resolving[resolving.index(ref):] + [ref])
-            raise ExpressionError(f"bundle reference cycle: {cycle}")
-        resolving.append(ref)
+    for root, _ in scenario.bundle_exprs:
+        if root in resolved:
+            continue
+        # The names being resolved, each with an iterator over its references.
+        path = {root: iter(refs[root])}
         try:
-            value = evaluate_expression(asts[ref], scenario.space, resolve)
-        finally:
-            resolving.pop()
-        resolved[ref] = value
-        return value
-
-    try:
-        for bname, _ in scenario.bundle_exprs:
-            try:
-                resolve(bname)
-            except (ExpressionError, ValueError) as exc:
-                raise ScenarioError(f"bundles.{bname}: {exc}") from exc
-    finally:
-        # ``resolve`` refers to itself through its closure cell; without
-        # this the closure and everything it reached would be cyclic garbage.
-        del resolve
+            while path:
+                name, pending = next(reversed(path.items()))
+                ref = next(pending, None)
+                if ref is None:
+                    del path[name]
+                    resolved[name] = evaluate_expression(
+                        asts[name], scenario.space, resolved.__getitem__
+                    )
+                elif ref in resolved:
+                    continue
+                elif ref not in asts:
+                    raise ExpressionError(f"undefined bundle name {ref!r}")
+                elif ref in path:
+                    names = list(path)
+                    cycle = " -> ".join(names[names.index(ref):] + [ref])
+                    raise ExpressionError(f"bundle reference cycle: {cycle}")
+                else:
+                    path[ref] = iter(refs[ref])
+        except (ExpressionError, ValueError) as exc:
+            raise ScenarioError(f"bundles.{root}: {exc}") from exc
     return resolved
 
 

@@ -21,6 +21,7 @@ from degloci import (
     direct_sum,
     invariants_from_chern_numbers,
     kernel_from_sequence,
+    line_bundle,
     pullback_slope,
     sigma_tilde_self_intersection,
     twist,
@@ -90,13 +91,21 @@ def _naive_unit_inverse(dims, positive: dict) -> dict:
     return y
 
 
+def _naive_power(dims, a: dict, k: int) -> dict:
+    y = {(0,) * len(dims): Fraction(1)}
+    for _ in range(k):
+        y = _naive_mul(dims, y, a)
+    return y
+
+
 @settings(max_examples=40, deadline=None)
 @given(stg.kernel_setups())
 def dense_kernel_matches_naive(setup):
-    space, a, b, s = setup
+    space, a, b, s, linear, degrees, multiplicity = setup
     dims = space.dims
     a, b = _nonzero(a), _nonzero(b)
     x, y = ChowElement(space, a), ChowElement(space, b)
+    one, zero = ChowElement.one(space), ChowElement.zero(space)
     assert dict(x.terms) == a
     assert dict((x * y).terms) == _naive_mul(dims, a, b)
     assert dict((x + y).terms) == _naive_add(a, b)
@@ -104,15 +113,32 @@ def dense_kernel_matches_naive(setup):
     for d in range(space.total_dimension + 1):
         assert dict(x.graded_part(d).terms) == {e: c for e, c in a.items() if sum(e) == d}
     assert x.integrate() == a.get(dims, 0)
+    for k in range(6):
+        assert dict((x**k).terms) == _naive_power(dims, a, k)
     positive = {e: c for e, c in a.items() if sum(e) > 0}
     inverse = (1 + ChowElement(space, positive)).invert_unit_series()
     assert dict(inverse.terms) == _naive_unit_inverse(dims, positive)
+    units = [tuple(int(j == i) for j in range(len(dims))) for i in range(len(dims))]
+    one_plus_d = {(0,) * len(dims): Fraction(1), **dict(zip(units, map(Fraction, degrees)))}
+    assert dict(line_bundle(space, degrees, multiplicity).total_chern.terms) == _naive_power(
+        dims, one_plus_d, multiplicity
+    )
+    ell = ChowElement(space, dict(zip(units, linear)))
+    for r in range(-3, 9):
+        power = ell._one_plus_c1_power(r)
+        assert power * ell._one_plus_c1_power(-r) == one
+        if r >= 0:
+            assert power == (1 + ell) ** r
+    halves = [(e, c / 2) for e, c in a.items()]
+    cancelling = list(a.items()) + [(e, -c) for e, c in a.items()]
     for lhs, rhs in (
         ((x * Fraction(1, 2)) * 2, x),
         ((x + y) - y, x),
         (x * y, y * x),
         (ChowElement(space, dict(x.terms)), x),
         (ChowElement.from_text(space, str(x)), x),
+        (ChowElement(space, halves + halves), x),
+        (ChowElement(space, cancelling), zero),
     ):
         assert lhs == rhs
         assert hash(lhs) == hash(rhs)

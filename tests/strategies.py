@@ -67,10 +67,21 @@ def chow_elements(draw, space: ProductSpace, max_terms: int = 6):
 
 @st.composite
 def kernel_setups(draw):
-    """(space, terms, terms, scalar): in-range term dicts with mixed denominators."""
+    """(space, terms, terms, scalar, linear, degrees, multiplicity): in-range
+    term dicts with mixed denominators, one rational coefficient per
+    hyperplane class, and the twisting degrees and multiplicity of a line
+    bundle."""
     space = draw(spaces(KERNEL_SPACES))
     terms = st.dictionaries(exponent_vectors(space), rationals, max_size=10)
-    return space, draw(terms), draw(terms), draw(rationals)
+    return (
+        space,
+        draw(terms),
+        draw(terms),
+        draw(rationals),
+        [draw(rationals) for _ in space.dims],
+        draw(degree_vectors(space)),
+        draw(st.integers(1, 8)),
+    )
 
 
 @st.composite

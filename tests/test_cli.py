@@ -135,6 +135,17 @@ def test_deeply_nested_expression_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in ([], ["--scenario", "m99"], ["--scenario", "m15", "--format", "csv"]):
         with pytest.raises(SystemExit) as excinfo:

@@ -111,6 +111,14 @@ def test_unresolved_reference_in_expression():
         parse_scenario_data(data)
 
 
+def test_long_chain_of_names_resolves():
+    bundles = {f"N{i}": f"N{i + 1}" for i in range(400)}
+    bundles.update(N400="O(0,0)", A="N0", B="sum(N0, O(0,1))")
+    env = resolve_bundles(parse_scenario_data(minimal_data(bundles=bundles)))
+    assert env["N0"].rank == env["A"].rank == 1
+    assert env["B"].rank == 2
+
+
 def test_rank_mismatch_rejected():
     data = minimal_data(bundles={"A": "O(0,0)^1", "B": "O(1,1)^3"})
     with pytest.raises(ScenarioError, match="rank"):
