@@ -10,15 +10,23 @@ Scenario files name bundles by small expressions:
           | ker(expr -> expr)   kernel of a surjection middle -> quotient
           | name                reference to another named bundle
 
-Parsing builds a small AST; evaluation maps it to BundleClass values through
-a caller-supplied resolver for names, which is where reference cycles are
-caught.  An expression may nest at most ``MAX_DEPTH`` levels deep (``O(..)``
-and a name count as one level each); deeper input is an ExpressionError.
+The four operators live in one table, ``_OPERATORS``; parsing builds a small
+AST with one node type per kind of leaf and one, ``Apply``, for operators:
+
+>>> parse_expression("twist(E, O(0,2))")
+Apply(op='twist', args=(NameRef(name='E'), LineBundleExpr(degrees=(0, 2), multiplicity=1)))
+
+Evaluation maps an AST to a BundleClass through a caller-supplied resolver
+for names.  An expression may nest at most ``MAX_DEPTH`` levels deep
+(``O(..)`` and a name count as one level each); deeper input is an
+ExpressionError, and so is an integer literal beyond Python's int-string
+conversion limit (4300 digits by default).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -28,11 +36,20 @@ from .chow import ProductSpace
 from .errors import ExpressionError
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<int>-?\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>[(),^]))"
+    r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>->|[(),^]))"
 )
 
-_KEYWORDS = frozenset({"O", "sum", "dual", "twist", "ker"})
+# operator -> (name of its function in ``bundles``, token between its two
+# operands, or None for one operand).  The function is looked up by name at
+# each call, so a wrapper put on ``bundles.<function>`` sees every call.
+_OPERATORS = {
+    "sum": ("direct_sum", ","),
+    "dual": ("dual", None),
+    "twist": ("twist", ","),
+    "ker": ("kernel_from_sequence", "->"),
+}
+
+_KEYWORDS = frozenset({"O", *_OPERATORS})
 
 MAX_DEPTH = 100
 
@@ -49,33 +66,16 @@ class NameRef:
 
 
 @dataclass(frozen=True)
-class SumExpr:
-    left: "Expression"
-    right: "Expression"
+class Apply:
+    op: str
+    args: tuple["Expression", ...]
 
 
-@dataclass(frozen=True)
-class DualExpr:
-    inner: "Expression"
-
-
-@dataclass(frozen=True)
-class TwistExpr:
-    inner: "Expression"
-    line: "Expression"
-
-
-@dataclass(frozen=True)
-class KerExpr:
-    middle: "Expression"
-    quotient: "Expression"
-
-
-Expression = Union[LineBundleExpr, NameRef, SumExpr, DualExpr, TwistExpr, KerExpr]
+Expression = Union[LineBundleExpr, NameRef, Apply]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, position); kinds: arrow, int, name, sym."""
+    """Tokens as (kind, value, position); kinds: int, name, sym."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -118,6 +118,16 @@ class _Parser:
             )
         return tok
 
+    def _expect_int(self) -> int:
+        _, digits, pos = self._expect("int")
+        try:
+            return int(digits)
+        except ValueError as exc:  # beyond the int-string conversion limit
+            raise ExpressionError(
+                f"integer literal at position {pos} has more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from exc
+
     def parse(self) -> Expression:
         expr = self._parse_expr(1)
         tok = self._peek()
@@ -140,37 +150,20 @@ class _Parser:
         head = tok[1]
         if head == "O":
             return self._parse_line_bundle()
-        if head == "sum":
-            self._expect("sym", "(")
-            left = self._parse_expr(depth + 1)
-            self._expect("sym", ",")
-            right = self._parse_expr(depth + 1)
-            self._expect("sym", ")")
-            return SumExpr(left, right)
-        if head == "dual":
-            self._expect("sym", "(")
-            inner = self._parse_expr(depth + 1)
-            self._expect("sym", ")")
-            return DualExpr(inner)
-        if head == "twist":
-            self._expect("sym", "(")
-            inner = self._parse_expr(depth + 1)
-            self._expect("sym", ",")
-            line = self._parse_expr(depth + 1)
-            self._expect("sym", ")")
-            return TwistExpr(inner, line)
-        if head == "ker":
-            self._expect("sym", "(")
-            middle = self._parse_expr(depth + 1)
-            self._expect("arrow")
-            quotient = self._parse_expr(depth + 1)
-            self._expect("sym", ")")
-            return KerExpr(middle, quotient)
-        return NameRef(head)
+        if head not in _OPERATORS:
+            return NameRef(head)
+        separator = _OPERATORS[head][1]
+        self._expect("sym", "(")
+        args = [self._parse_expr(depth + 1)]
+        if separator is not None:
+            self._expect("sym", separator)
+            args.append(self._parse_expr(depth + 1))
+        self._expect("sym", ")")
+        return Apply(head, tuple(args))
 
     def _parse_line_bundle(self) -> LineBundleExpr:
         self._expect("sym", "(")
-        degrees = [int(self._expect("int")[1])]
+        degrees = [self._expect_int()]
         while True:
             tok = self._next()
             if tok[0] == "sym" and tok[1] == ")":
@@ -179,13 +172,12 @@ class _Parser:
                 raise ExpressionError(
                     f"expected ',' or ')' at position {tok[2]} in {self.text!r}, got {tok[1]!r}"
                 )
-            degrees.append(int(self._expect("int")[1]))
+            degrees.append(self._expect_int())
         multiplicity = 1
         tok = self._peek()
         if tok is not None and tok[0] == "sym" and tok[1] == "^":
             self._next()
-            mtok = self._expect("int")
-            multiplicity = int(mtok[1])
+            multiplicity = self._expect_int()
             if multiplicity < 1:
                 raise ExpressionError(
                     f"multiplicity must be at least 1, got {multiplicity} in {self.text!r}"
@@ -208,14 +200,8 @@ def _referenced_names(expr: Expression) -> list[str]:
         node = stack.pop()
         if isinstance(node, NameRef):
             names.append(node.name)
-        elif isinstance(node, SumExpr):
-            stack += (node.right, node.left)
-        elif isinstance(node, DualExpr):
-            stack.append(node.inner)
-        elif isinstance(node, TwistExpr):
-            stack += (node.line, node.inner)
-        elif isinstance(node, KerExpr):
-            stack += (node.quotient, node.middle)
+        elif isinstance(node, Apply):
+            stack += reversed(node.args)
     return names
 
 
@@ -245,19 +231,7 @@ def _evaluate(node: Expression, space, resolve) -> BundleClass:
         if resolve is None:
             raise ExpressionError(f"unknown bundle name {node.name!r}")
         return resolve(node.name)
-    if isinstance(node, SumExpr):
-        return bundles.direct_sum(
-            _evaluate(node.left, space, resolve), _evaluate(node.right, space, resolve)
-        )
-    if isinstance(node, DualExpr):
-        return bundles.dual(_evaluate(node.inner, space, resolve))
-    if isinstance(node, TwistExpr):
-        return bundles.twist(
-            _evaluate(node.inner, space, resolve), _evaluate(node.line, space, resolve)
-        )
-    if isinstance(node, KerExpr):
-        return bundles.kernel_from_sequence(
-            _evaluate(node.middle, space, resolve),
-            _evaluate(node.quotient, space, resolve),
-        )
+    if isinstance(node, Apply):
+        function = getattr(bundles, _OPERATORS[node.op][0])
+        return function(*(_evaluate(arg, space, resolve) for arg in node.args))
     raise ExpressionError(f"unhandled expression node {node!r}")

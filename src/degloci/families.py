@@ -33,7 +33,6 @@ class FamilyInvariants:
     slope: Fraction | None
     fiber_genus: int
     base_genus: int
-    warnings: tuple[str, ...] = ()
 
     def slope_decimal(self, significant_digits: int = 6) -> str | None:
         """The slope rendered to the given number of significant digits."""
@@ -49,14 +48,11 @@ def invariants_from_chern_numbers(
     q: int,
     *,
     allow_low_genus: bool = False,
-    expect_integral_lambda: bool = False,
 ) -> FamilyInvariants:
     """Convert surface Chern numbers into family invariants.
 
     Fiber genus below 2 is rejected unless ``allow_low_genus`` is set, since
-    the slope story is only meaningful for stable fibers.  With
-    ``expect_integral_lambda`` a non-integer lambda attaches a warning to the
-    result; the exact value is kept either way.
+    the slope story is only meaningful for stable fibers.
     """
     if not isinstance(g, int) or isinstance(g, bool) or g < 0:
         raise ValueError(f"fiber genus must be a nonnegative integer, got {g!r}")
@@ -76,10 +72,6 @@ def invariants_from_chern_numbers(
         raise InternalCheckError("Mumford relation 12*lambda = kappa + delta violated")
     slope = delta / lambda_ if lambda_ != 0 else None
 
-    warnings: tuple[str, ...] = ()
-    if expect_integral_lambda and lambda_.denominator != 1:
-        warnings = (f"lambda = {lambda_} is not an integer",)
-
     return FamilyInvariants(
         kappa=kappa,
         delta=delta,
@@ -87,5 +79,4 @@ def invariants_from_chern_numbers(
         slope=slope,
         fiber_genus=g,
         base_genus=q,
-        warnings=warnings,
     )

@@ -26,6 +26,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from .errors import ExpressionError, InternalCheckError, ScenarioError
 from .exact import as_fraction
 from .expressions import (
     _KEYWORDS,
+    Expression,
     _referenced_names,
     evaluate_expression,
     parse_expression,
@@ -65,7 +67,7 @@ class Scenario:
 
     name: str
     space: ProductSpace
-    bundle_exprs: tuple[tuple[str, str], ...]
+    bundle_exprs: tuple[tuple[str, Expression], ...]
     degeneracy_a: str
     degeneracy_b: str
     fiber_genus: int
@@ -160,7 +162,11 @@ def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(
                 f"{source}: bundles: {bname!r} is not a usable bundle name"
             )
-        bundle_exprs.append((bname, _as_str(expr, f"{source}: bundles.{bname}")))
+        text = _as_str(expr, f"{source}: bundles.{bname}")
+        try:
+            bundle_exprs.append((bname, parse_expression(text)))
+        except ExpressionError as exc:
+            raise ScenarioError(f"{source}: bundles.{bname}: {exc}") from exc
 
     degen = _as_object(top["degeneracy"], f"{source}: degeneracy")
     _check_keys(degen, required=("a", "b"), optional=(), where=f"{source}: degeneracy")
@@ -319,45 +325,34 @@ def _parse_text(text: str, source: str) -> Scenario:
 def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
     """Evaluate every named bundle expression, catching unknown names and cycles.
 
-    Names are resolved in dependency order by an explicit depth-first walk,
-    so a long chain of references costs no stack; each expression is
-    evaluated once every name it refers to is resolved.
+    Each expression is evaluated once every name it refers to is resolved, in
+    the order of ``graphlib.TopologicalSorter``, which sorts without recursion,
+    so a long chain of references costs no stack.  An undefined name is
+    reported under the bundle that refers to it, a cycle under its first name.
     """
-    asts = {}
-    for bname, text in scenario.bundle_exprs:
-        try:
-            asts[bname] = parse_expression(text)
-        except ExpressionError as exc:
-            raise ScenarioError(f"bundles.{bname}: {exc}") from exc
+    asts = dict(scenario.bundle_exprs)
     refs = {bname: _referenced_names(ast) for bname, ast in asts.items()}
+    for bname, names in refs.items():
+        for ref in names:
+            if ref not in asts:
+                raise ScenarioError(f"bundles.{bname}: undefined bundle name {ref!r}")
+    try:
+        order = list(TopologicalSorter(refs).static_order())
+    except CycleError as exc:
+        # args[1] lists each name before a name that refers to it.
+        cycle = exc.args[1][::-1]
+        raise ScenarioError(
+            f"bundles.{cycle[0]}: bundle reference cycle: {' -> '.join(cycle)}"
+        ) from exc
 
     resolved: dict[str, BundleClass] = {}
-    for root, _ in scenario.bundle_exprs:
-        if root in resolved:
-            continue
-        # The names being resolved, each with an iterator over its references.
-        path = {root: iter(refs[root])}
+    for bname in order:
         try:
-            while path:
-                name, pending = next(reversed(path.items()))
-                ref = next(pending, None)
-                if ref is None:
-                    del path[name]
-                    resolved[name] = evaluate_expression(
-                        asts[name], scenario.space, resolved.__getitem__
-                    )
-                elif ref in resolved:
-                    continue
-                elif ref not in asts:
-                    raise ExpressionError(f"undefined bundle name {ref!r}")
-                elif ref in path:
-                    names = list(path)
-                    cycle = " -> ".join(names[names.index(ref):] + [ref])
-                    raise ExpressionError(f"bundle reference cycle: {cycle}")
-                else:
-                    path[ref] = iter(refs[ref])
+            resolved[bname] = evaluate_expression(
+                asts[bname], scenario.space, resolved.__getitem__
+            )
         except (ExpressionError, ValueError) as exc:
-            raise ScenarioError(f"bundles.{root}: {exc}") from exc
+            raise ScenarioError(f"bundles.{bname}: {exc}") from exc
     return resolved
 
 
@@ -419,8 +414,6 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     entries.append(rational_entry("delta", fam.delta))
     entries.append(rational_entry("lambda", fam.lambda_))
     entries.append(rational_entry("slope", fam.slope))
-    for warning in fam.warnings:
-        entries.append(text_entry("warning", warning))
 
     checks = []
     sigma = None

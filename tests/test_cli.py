@@ -135,6 +135,20 @@ def test_deeply_nested_expression_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "expression",
+    ["O(" + "1" * 5001 + ",0)^2", "O(1,0)^" + "1" * 5001],
+    ids=["degree", "multiplicity"],
+)
+def test_overlong_integer_in_expression_exits_1(tmp_path, capsys, expression):
+    path = _scenario_file(tmp_path, {"A": "O(0,0)^1", "B": expression})
+    code, out, err = run_cli(capsys, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_json_exits_1(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)

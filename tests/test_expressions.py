@@ -1,5 +1,8 @@
 """The bundle-expression grammar: parsing and evaluation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from degloci import (
@@ -15,13 +18,12 @@ from degloci import (
     twist,
 )
 from degloci.expressions import (
+    _KEYWORDS,
+    _OPERATORS,
     MAX_DEPTH,
-    DualExpr,
-    KerExpr,
+    Apply,
     LineBundleExpr,
     NameRef,
-    SumExpr,
-    TwistExpr,
 )
 
 P13 = ProductSpace((1, 3))
@@ -35,16 +37,19 @@ def test_parse_line_bundle():
 
 
 def test_parse_compound_expressions():
-    assert parse_expression("sum(O(1,0), O(0,1))") == SumExpr(
-        LineBundleExpr((1, 0), 1), LineBundleExpr((0, 1), 1)
+    assert parse_expression("sum(O(1,0), O(0,1))") == Apply(
+        "sum", (LineBundleExpr((1, 0), 1), LineBundleExpr((0, 1), 1))
     )
-    assert parse_expression("dual(E)") == DualExpr(NameRef("E"))
-    assert parse_expression("twist(E, O(0,2))") == TwistExpr(
-        NameRef("E"), LineBundleExpr((0, 2), 1)
+    assert parse_expression("dual(E)") == Apply("dual", (NameRef("E"),))
+    assert parse_expression("twist(E, O(0,2))") == Apply(
+        "twist", (NameRef("E"), LineBundleExpr((0, 2), 1))
     )
-    assert parse_expression("ker(sum(O(1,0)^8, O(0,-1)^1) -> O(1,1)^4)") == KerExpr(
-        SumExpr(LineBundleExpr((1, 0), 8), LineBundleExpr((0, -1), 1)),
-        LineBundleExpr((1, 1), 4),
+    assert parse_expression("ker(sum(O(1,0)^8, O(0,-1)^1) -> O(1,1)^4)") == Apply(
+        "ker",
+        (
+            Apply("sum", (LineBundleExpr((1, 0), 8), LineBundleExpr((0, -1), 1))),
+            LineBundleExpr((1, 1), 4),
+        ),
     )
 
 
@@ -60,6 +65,9 @@ def test_parse_errors():
         "sum(O(1,0), O(0,1), O(0,0))",
         "twist(O(1,0))",
         "ker(O(1,0), O(0,1))",
+        "sum(O(1,0) -> O(0,1))",
+        "dual(O(1,0), O(0,1))",
+        "O(1,0)->O(0,1)",
         "dual O(1,0)",
         "O(1,0) extra",
         "O(1.5,0)",
@@ -74,12 +82,24 @@ def test_nesting_depth_bound():
     def nested(depth):
         return "dual(" * (depth - 1) + "O(1,0)" + ")" * (depth - 1)
 
-    assert isinstance(parse_expression(nested(MAX_DEPTH)), DualExpr)
+    assert parse_expression(nested(MAX_DEPTH)).op == "dual"
     with pytest.raises(ExpressionError, match="nested deeper than"):
         parse_expression(nested(MAX_DEPTH + 1))
 
 
 def test_evaluate_matches_direct_construction():
+    # Every operator of the grammar, against its bundles function called directly.
+    direct_calls = {
+        "sum": ("sum(O(1,0)^2, O(0,-1))", direct_sum, ((1, 0), 2), ((0, -1), 1)),
+        "dual": ("dual(O(1,1)^3)", dual, ((1, 1), 3)),
+        "twist": ("twist(O(0,1)^2, O(2,-1))", twist, ((0, 1), 2), ((2, -1), 1)),
+        "ker": ("ker(O(1,0)^3 -> O(1,1))", kernel_from_sequence, ((1, 0), 3), ((1, 1), 1)),
+    }
+    assert set(direct_calls) == set(_OPERATORS)
+    for text, function, *operands in direct_calls.values():
+        expected = function(*(line_bundle(P13, d, m) for d, m in operands))
+        assert evaluate_expression(text, P13) == expected
+
     text = "twist(ker(sum(O(1,0)^8, O(0,-1)^1) -> O(1,1)^4), O(0,2))"
     via_grammar = evaluate_expression(text, P13)
     middle = direct_sum(line_bundle(P13, (1, 0), 8), line_bundle(P13, (0, -1)))
@@ -111,3 +131,9 @@ def test_evaluate_rank_errors_surface():
         evaluate_expression("twist(O(1,0), O(0,1)^2)", P13)
     with pytest.raises(RankError):
         evaluate_expression("ker(O(0,0)^2 -> O(0,0)^3)", P13)
+
+
+def test_documented_grammar_keywords_match_table():
+    doc = (Path(__file__).parents[1] / "docs" / "scenario-format.md").read_text()
+    grammar = doc.split("## Bundle expression grammar", 1)[1].split("```")[1]
+    assert set(re.findall(r"\b([A-Za-z_]\w*)\(", grammar)) == _KEYWORDS

@@ -15,7 +15,6 @@ def test_m15_values():
     assert fam.lambda_ == 60
     assert fam.slope == Fraction(98, 15)
     assert fam.slope_decimal() == "6.53333"
-    assert fam.warnings == ()
 
 
 def test_lambda_zero_leaves_slope_undefined():
@@ -59,12 +58,9 @@ def test_rational_inputs_accepted():
         invariants_from_chern_numbers(216.0, 336, 15, 0)
 
 
-def test_integral_lambda_warning():
-    fam = invariants_from_chern_numbers(1, 0, 2, 0, expect_integral_lambda=True)
+def test_non_integral_lambda_kept_exact():
+    fam = invariants_from_chern_numbers(1, 0, 2, 0)
     assert fam.lambda_ == Fraction(13, 12)
-    assert len(fam.warnings) == 1
-    exact = invariants_from_chern_numbers(216, 336, 15, 0, expect_integral_lambda=True)
-    assert exact.warnings == ()
 
 
 # -- randomized suite (shared with the acceptance gate) -----------------------

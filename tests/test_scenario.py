@@ -15,6 +15,7 @@ from degloci import (
     resolve_bundles,
     run_scenario,
 )
+from degloci.expressions import _KEYWORDS
 from degloci.scenario import parse_scenario_data
 
 
@@ -92,23 +93,31 @@ def test_degeneracy_names_must_be_defined():
 
 
 def test_bundle_name_rules():
-    with pytest.raises(ScenarioError, match="not a usable bundle name"):
-        parse_scenario_data(minimal_data(bundles={"ker": "O(0,0)^1"}))
+    for keyword in sorted(_KEYWORDS):
+        with pytest.raises(ScenarioError, match="not a usable bundle name"):
+            parse_scenario_data(minimal_data(bundles={keyword: "O(0,0)^1"}))
 
 
 def test_reference_cycle_detected():
-    data = minimal_data(
-        bundles={"A": "sum(B, O(0,0))", "B": "sum(A, O(0,0))"},
-        degeneracy={"a": "A", "b": "B"},
-    )
-    with pytest.raises(ScenarioError, match="cycle"):
-        parse_scenario_data(data)
+    cases = [
+        ({"A": "sum(B, O(0,0))", "B": "sum(A, O(0,0))"}, "A -> B -> A"),
+        (
+            {"A": "sum(B, O(0,0))", "B": "sum(C, O(0,1))", "C": "dual(A)"},
+            "A -> B -> C -> A",
+        ),
+        ({"A": "sum(A, O(0,0))", "B": "sum(O(1,0), O(0,1))"}, "A -> A"),
+    ]
+    for bundles, cycle in cases:
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario_data(minimal_data(bundles=bundles))
+        assert str(excinfo.value) == f"bundles.A: bundle reference cycle: {cycle}"
 
 
 def test_unresolved_reference_in_expression():
     data = minimal_data(bundles={"A": "O(0,0)^1", "B": "sum(C, O(0,1))"})
-    with pytest.raises(ScenarioError, match="undefined bundle name"):
+    with pytest.raises(ScenarioError) as excinfo:
         parse_scenario_data(data)
+    assert str(excinfo.value) == "bundles.B: undefined bundle name 'C'"
 
 
 def test_long_chain_of_names_resolves():
@@ -117,6 +126,12 @@ def test_long_chain_of_names_resolves():
     env = resolve_bundles(parse_scenario_data(minimal_data(bundles=bundles)))
     assert env["N0"].rank == env["A"].rank == 1
     assert env["B"].rank == 2
+
+
+def test_syntax_error_reported_before_space_checks():
+    data = minimal_data(space=[1, 2], bundles={"A": "O(0,0", "B": "O(1,0)^2"})
+    with pytest.raises(ScenarioError, match="bundles.A: unexpected end of expression"):
+        parse_scenario_data(data)
 
 
 def test_rank_mismatch_rejected():
