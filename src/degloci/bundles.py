@@ -6,9 +6,9 @@ classes (Whitney), duals flip the sign of the odd-degree parts, a twist by a
 line bundle L with l = c_1(L) is c(E (x) L) = sum_i c_i(E) (1 + l)^{r - i}
 (Fulton, Intersection Theory, Ex. 3.2.2), and short exact sequences determine
 the kernel class by division in the Chow ring.  Virtual differences B - A are
-allowed to carry any integer rank.  Every power of 1 + l, the total Chern
-class of a line bundle and the factors of a twist alike, comes from the
-binomial series, not from repeated products.
+allowed to carry any integer rank.  The total Chern class of a line bundle
+comes from the binomial series, a twist is one product weighted by binomials,
+and a kernel or difference is one division; none takes repeated products.
 
 >>> from .chow import ProductSpace
 >>> P13 = ProductSpace((1, 3))
@@ -44,14 +44,15 @@ class BundleClass:
     def __post_init__(self):
         if not isinstance(self.rank, int) or isinstance(self.rank, bool):
             raise TypeError(f"rank must be an integer, got {self.rank!r}")
-        if self.total_chern.space != self.space:
+        total = self.total_chern
+        if total.space is not self.space and total.space != self.space:
             raise SpaceMismatchError(
                 "total Chern class lives on a different space than the bundle"
             )
-        if self.total_chern.constant_term() != 1:
+        if total._nums[0] != total._den:  # the degree-0 part, in the dense form
             raise ValueError(
                 "total Chern class must have degree-0 part 1, got "
-                f"{self.total_chern.constant_term()}"
+                f"{total.constant_term()}"
             )
 
 
@@ -78,7 +79,7 @@ def line_bundle(
         raise ValueError(
             f"multiplicity must be a positive integer, got {multiplicity!r}"
         )
-    total = _one_plus_linear_power(space, degrees, 1, multiplicity)
+    total = _one_plus_linear_power(space, degrees, multiplicity)
     return BundleClass(space, multiplicity, total)
 
 
@@ -101,16 +102,16 @@ def dual(E: BundleClass) -> BundleClass:
 def twist(E: BundleClass, L: BundleClass) -> BundleClass:
     """Tensor by a line bundle: c(E(x)L) = sum_i c_i(E) (1 + l)^{r-i}, l = c_1(L).
 
-    Horner in w = (1 + l)^{-1}, times (1 + l)^r, both from the binomial
-    series: a kernel class can have c_i != 0 for i > r, so r - i must go
-    negative.  Negative r is refused, and so is an L of rank 1 whose total
-    Chern class is not 1 + c_1(L), such as a kernel: it is not a line bundle.
+    Computed as sum_{i,m} binomial(r - i, m) c_i(E) l^m in one weighted
+    product.  A kernel class can have c_i != 0 for i > r, so r - i goes
+    negative there.  Negative r is refused, and so is an L of rank 1 whose
+    total Chern class is not 1 + c_1(L), such as a kernel: it is not a line
+    bundle.
     """
     _check_same_space(E, L)
     if L.rank != 1:
         raise RankError(f"twisting requires a rank-1 bundle, got rank {L.rank}")
-    one_plus_ell = 1 + L.total_chern.graded_part(1)
-    if one_plus_ell != L.total_chern:
+    if 1 + L.total_chern.graded_part(1) != L.total_chern:
         raise RankError(
             "twisting requires a line bundle, got a rank-1 class with total "
             f"Chern class {L.total_chern}"
@@ -119,13 +120,8 @@ def twist(E: BundleClass, L: BundleClass) -> BundleClass:
         raise RankError(
             f"cannot twist a virtual class of negative rank {E.rank}"
         )
-    space = E.space
-    w = one_plus_ell._one_plus_c1_power(-1)
-    series = ChowElement.zero(space)
-    for i in range(space.total_dimension, -1, -1):
-        series = series * w + E.total_chern.graded_part(i)
-    total = series * one_plus_ell._one_plus_c1_power(E.rank)
-    return BundleClass(space, E.rank, total)
+    total = E.total_chern._twisted(L.total_chern, E.rank)
+    return BundleClass(E.space, E.rank, total)
 
 
 def kernel_from_sequence(middle: BundleClass, quotient: BundleClass) -> BundleClass:
@@ -135,14 +131,14 @@ def kernel_from_sequence(middle: BundleClass, quotient: BundleClass) -> BundleCl
         raise RankError(
             f"middle rank {middle.rank} is smaller than quotient rank {quotient.rank}"
         )
-    total = middle.total_chern * quotient.total_chern.invert_unit_series()
+    total = middle.total_chern._divided_by(quotient.total_chern)
     return BundleClass(middle.space, middle.rank - quotient.rank, total)
 
 
 def virtual_difference(B: BundleClass, A: BundleClass) -> BundleClass:
     """The K-theory difference B - A with total Chern class c(B)/c(A)."""
     _check_same_space(B, A)
-    total = B.total_chern * A.total_chern.invert_unit_series()
+    total = B.total_chern._divided_by(A.total_chern)
     return BundleClass(B.space, B.rank - A.rank, total)
 
 

@@ -20,12 +20,14 @@ accumulates integer numerators over one lcm of the denominators and reduces
 once; ring operations build their results canonical directly and skip it.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
-H_1^{n_1} ... H_k^{n_k}.  ``invert_unit_series`` inverts any element with
-constant term 1, which is what division of total Chern classes amounts to in
-this ring, by a triangular solve of x * y = 1 in index order: every partner
-of y_k in that equation has a smaller index.  Powers (1 + l)^r of a linear
-class, for any integer r, come from the binomial series in one pass over the
-monomials (Fulton, Intersection Theory, Ex. 3.2.2).
+H_1^{n_1} ... H_k^{n_k}.  Division by an element with constant term 1, which
+is what division of total Chern classes amounts to in this ring, is one
+triangular solve of q * y = x in index order: every partner of y_k in that
+equation has a smaller index.  ``invert_unit_series`` is that solve with
+x = 1.  Powers (1 + l)^r of a linear class, for any integer r, come from the
+binomial series in one pass over the monomials, and the twist sum
+sum_i c_i (1 + l)^{r - i} of Fulton, Intersection Theory, Ex. 3.2.2, is one
+product of c with the powers of l, weighted by a table of binomials.
 
 >>> P13 = ProductSpace((1, 3))
 >>> h1, h2 = hyperplane(P13, 1), hyperplane(P13, 2)
@@ -365,46 +367,76 @@ class ChowElement:
         return Fraction(self._nums[-1], self._den)
 
     def invert_unit_series(self) -> "ChowElement":
-        """Multiplicative inverse of an element with constant term 1.
+        """Multiplicative inverse of an element with constant term 1."""
+        return ChowElement.one(self._space)._divided_by(self)
 
-        Writing self = X / d, the inverse has y_k = W_k / d^{deg k} with
-        W_0 = 1 and W_k = -sum_{i > 0} X_i d^{deg i - 1} W_{k - i}; every
-        k - i is a smaller index, so one pass in index order, pushing each
+    def _divided_by(self, unit: "ChowElement") -> "ChowElement":
+        """self / unit, for a unit with constant term 1, by one triangular solve.
+
+        Writing self = X / d and unit = Q / e, the y with unit * y = self has
+        y_k = W_k / (d e^{deg k}), where W_k = X_k e^{deg k} - sum_{i > 0}
+        Q_i e^{deg i - 1} W_{k - i}.  Every k - i is a smaller index, so one
+        pass in index order, from the seed X_k e^{deg k} and pushing each
         finished W_j to its partners, solves it in integers.
         """
-        xs, d = self._nums, self._den
-        if xs[0] != d:
+        self._check_space(unit)
+        qs, e = unit._nums, unit._den
+        if qs[0] != e:
             raise NonUnitError(
-                f"cannot invert: degree-0 part is {self.constant_term()}, not 1"
+                f"cannot invert: degree-0 part is {unit.constant_term()}, not 1"
             )
         table = _table(self._space.dims)
         partners, degrees = table.partners, table.degrees
         top = degrees[-1]
-        dpow = [1]
+        epow = [1]
         for _ in range(top):
-            dpow.append(dpow[-1] * d)
-        scaled = [0] + [v * dpow[g - 1] for v, g in zip(xs[1:], degrees[1:])]
-        ws = [0] * len(xs)
-        ws[0] = 1
+            epow.append(epow[-1] * e)
+        scaled = [0] + [-v * epow[g - 1] for v, g in zip(qs[1:], degrees[1:])]
+        if e == 1:
+            ws = list(self._nums)
+        else:
+            ws = [v * epow[g] for v, g in zip(self._nums, degrees)]
         # Every push goes to a larger index, so enumerate reads each W_j complete.
         for j, w in enumerate(ws):
-            if j:
-                w = ws[j] = -w
             if w:
                 for i in partners[j]:
                     a = scaled[i]
                     if a:
                         ws[i + j] += a * w
-        if d != 1:
-            ws = [w * dpow[top - g] for w, g in zip(ws, degrees)]
-        return _reduced(self._space, ws, dpow[top])
+        if e != 1:
+            ws = [w * epow[top - g] for w, g in zip(ws, degrees)]
+        return _reduced(self._space, ws, self._den * epow[top])
 
-    def _one_plus_c1_power(self, r: int) -> "ChowElement":
-        """(1 + c)^r for any integer r, where c is the degree-1 part of self."""
-        linear = _table(self._space.dims).linear
-        return _one_plus_linear_power(
-            self._space, [self._nums[i] for i in linear], self._den, r
+    def _twisted(self, line: "ChowElement", r: int) -> "ChowElement":
+        """sum_i c_i (1 + l)^{r - i} for any integer r, where c_i is the
+        degree-i part of self and l the degree-1 part of line.
+
+        Expanded as sum_{i, m} binomial(r - i, m) c_i l^m, this is one product
+        of self with the powers of l, each pair of terms weighted by the
+        binomial for (degree of the self term, degree of the l term).
+        """
+        self._check_space(line)
+        table = _table(self._space.dims)
+        partners, degrees = table.partners, table.degrees
+        top = degrees[-1]
+        # l = sum_i L_i H_i / den, so l^m has the numerator (sum_i L_i H_i)^m
+        # over den^m, that is den^{top - m} over den^top.
+        den = line._den
+        powers = _linear_powers(
+            self._space,
+            [line._nums[i] for i in table.linear],
+            [den ** (top - m) for m in range(top + 1)],
         )
+        binomials = [_binomials(r - g, top) for g in range(top + 1)]
+        acc = [0] * len(powers)
+        for i, a in enumerate(self._nums):
+            if a:
+                row = binomials[degrees[i]]
+                for j in partners[i]:
+                    q = powers[j]
+                    if q:
+                        acc[i + j] += a * row[degrees[j]] * q
+        return _reduced(self._space, acc, self._den * den**top)
 
     # -- comparison and hashing --------------------------------------------
 
@@ -484,29 +516,39 @@ def hyperplane(space: ProductSpace, i: int) -> ChowElement:
     return _make(space, nums, 1)
 
 
-def _one_plus_linear_power(space: ProductSpace, coeffs, den: int, r: int) -> ChowElement:
-    """(1 + sum_i coeffs[i] H_{i+1} / den)^r for integer coeffs, den > 0 and any integer r.
+def _binomials(n: int, top: int) -> list[int]:
+    """binomial(n, s) for s = 0..top; n may be any integer, negative too."""
+    row = [1]
+    for s in range(top):
+        row.append(row[-1] * (n - s) // (s + 1))
+    return row
 
-    By the binomial series the coefficient of H^e, with |e| = s, is
-    binomial(r, s) * s! / prod_i e_i! * prod_i coeffs[i]^{e_i} / den^s, an
-    integer over den^s (the binomial is an integer for negative r too).
+
+def _linear_powers(space: ProductSpace, coeffs, weights: list[int]) -> list[int]:
+    """sum_m weights[m] l^m for l = sum_i coeffs[i] H_{i+1}, as a numerator list.
+
+    The term H^e of l^{|e|} is |e|! / prod_i e_i! * prod_i coeffs[i]^{e_i},
+    and each monomial belongs to one power of l, so one pass builds the sum.
     """
     table = _table(space.dims)
-    top = space.total_dimension
-    lead = [1]
-    for s in range(top):
-        lead.append(lead[-1] * (r - s) // (s + 1))
-    if den != 1:
-        lead = [v * den ** (top - s) for s, v in enumerate(lead)]
     # prod_i coeffs[i]^{e_i}, built factor by factor in index order.
     powers = [1]
     for c, n in zip(coeffs, space.dims):
         row = [c**e for e in range(n + 1)]
         powers = [v * p for v in powers for p in row]
-    nums = [
-        lead[s] * m * v for v, m, s in zip(powers, table.multinomials, table.degrees)
+    return [
+        v * m * weights[s] for v, m, s in zip(powers, table.multinomials, table.degrees)
     ]
-    return _reduced(space, nums, den**top)
+
+
+def _one_plus_linear_power(space: ProductSpace, coeffs, r: int) -> ChowElement:
+    """(1 + sum_i coeffs[i] H_{i+1})^r for integer coeffs and any integer r.
+
+    By the binomial series this is sum_m binomial(r, m) l^m; the binomial is
+    an integer for negative r too.
+    """
+    lead = _binomials(r, space.total_dimension)
+    return _make(space, _linear_powers(space, coeffs, lead), 1)
 
 
 def linear_combine(coeffs, elems) -> ChowElement:

@@ -82,7 +82,7 @@ def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowEl
     total = ChowElement.one(space)
     for i, n in enumerate(space.dims):
         unit = [int(j == i) for j in range(space.num_factors)]
-        total = total * _one_plus_linear_power(space, unit, 1, n + 1)
+        total = total * _one_plus_linear_power(space, unit, n + 1)
     return total.graded_part(1), total.graded_part(2)
 
 

@@ -6,16 +6,23 @@ entry list: ``exact`` prints rationals as p/q, ``decimal`` re-renders the
 rational scalars to 6 significant digits, and ``json`` carries both forms.
 Decimal strings are derived from the exact values at render time only, and
 every renderer is a pure function of the report, so equal reports produce
-byte-identical output.
+byte-identical output.  The JSON document is written by a short recursive
+writer that gives the bytes of ``json.dumps(doc, indent=2)``: with ``indent``
+set, ``json`` falls back to its pure-Python encoder, which costs several times
+more.  A value whose text would need an integer beyond Python's int-to-string
+digit limit (4300 digits by default) is refused with a ``ScenarioError``; the
+process-wide limit is left as it is.
 """
 
 from __future__ import annotations
 
-import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .chow import ChowElement
+from .errors import ScenarioError
 from .exact import decimal_text
 
 
@@ -55,14 +62,24 @@ class Report:
         raise KeyError(key)
 
 
+def _text(key: str, value: Fraction | ChowElement) -> str:
+    try:
+        return str(value)
+    except ValueError as exc:  # an integer beyond the int-to-string digit limit
+        raise ScenarioError(
+            f"report: {key}: a number has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit for writing an integer as text"
+        ) from exc
+
+
 def rational_entry(key: str, value: Fraction | None) -> ReportEntry:
     if value is None:
         return ReportEntry(key, "rational", None, None)
-    return ReportEntry(key, "rational", str(value), decimal_text(value))
+    return ReportEntry(key, "rational", _text(key, value), decimal_text(value))
 
 
 def class_entry(key: str, value: ChowElement) -> ReportEntry:
-    return ReportEntry(key, "class", str(value))
+    return ReportEntry(key, "class", _text(key, value))
 
 
 def text_entry(key: str, value: str) -> ReportEntry:
@@ -109,7 +126,26 @@ def render_json(report: Report) -> str:
         doc["checks"] = {
             c.key: {"passed": c.passed, "detail": c.detail} for c in report.checks
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc, "") + "\n"
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for the str, dict, bool and None of a report."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join(
+            f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+            for k, v in value.items()
+        )
+        return f"{{\n{items}\n{pad}}}"
+    return _JSON_CONSTANTS[value]
 
 
 RENDERERS = {

@@ -273,7 +273,10 @@ def _validate(scenario: Scenario, source: str):
             f"{source}: space: the degeneracy pipeline needs total dimension 4, "
             f"got {scenario.space.total_dimension}"
         )
-    env = resolve_bundles(scenario)
+    try:
+        env = resolve_bundles(scenario)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
     A = env[scenario.degeneracy_a]
     B = env[scenario.degeneracy_b]
     if B.rank != A.rank + 1:

@@ -1,7 +1,8 @@
 """Randomized property suites, each sized to 200 cases.
 
 The exception is ``dense_kernel_matches_naive`` at 40: its naive reference
-convolutions on spaces with up to 81 monomials cost far more per case.
+convolutions and Horner twists on spaces with up to 81 monomials cost far
+more per case.
 
 Every suite is a plain callable (hypothesis drives the randomization inside)
 so the acceptance gate can execute the full set directly; the topic test
@@ -10,13 +11,16 @@ modules wrap the same callables as individual tests.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as stg
 from degloci import (
     BaseChangeParams,
+    BundleClass,
     ChowElement,
+    NonUnitError,
     beta_delta0_correction,
     direct_sum,
     invariants_from_chern_numbers,
@@ -25,6 +29,7 @@ from degloci import (
     pullback_slope,
     sigma_tilde_self_intersection,
     twist,
+    virtual_difference,
 )
 
 SUITE = settings(max_examples=200, deadline=None)
@@ -98,6 +103,15 @@ def _naive_power(dims, a: dict, k: int) -> dict:
     return y
 
 
+def _horner_twist(c: ChowElement, ell: ChowElement, rank: int) -> ChowElement:
+    """sum_i c_i (1 + l)^{r - i} as Horner in w = (1 + l)^{-1}, times (1 + l)^r."""
+    w = (1 + ell).invert_unit_series()
+    series = ChowElement.zero(c.space)
+    for i in range(c.space.total_dimension, -1, -1):
+        series = series * w + c.graded_part(i)
+    return series * (1 + ell) ** rank
+
+
 @settings(max_examples=40, deadline=None)
 @given(stg.kernel_setups())
 def dense_kernel_matches_naive(setup):
@@ -116,19 +130,39 @@ def dense_kernel_matches_naive(setup):
     for k in range(6):
         assert dict((x**k).terms) == _naive_power(dims, a, k)
     positive = {e: c for e, c in a.items() if sum(e) > 0}
-    inverse = (1 + ChowElement(space, positive)).invert_unit_series()
+    unit = 1 + ChowElement(space, positive)
+    inverse = unit.invert_unit_series()
     assert dict(inverse.terms) == _naive_unit_inverse(dims, positive)
+    q = 1 + ChowElement(space, {e: c for e, c in b.items() if sum(e) > 0})
+    q_inverse = q.invert_unit_series()
+    assert x._divided_by(q) == x * q_inverse
+    Q = BundleClass(space, 1, q)
+    quotient = unit * q_inverse
+    assert kernel_from_sequence(BundleClass(space, 3, unit), Q).total_chern == quotient
+    assert virtual_difference(BundleClass(space, 0, unit), Q).total_chern == quotient
+    for non_unit in (2 * q, q - 1):
+        message = f"cannot invert: degree-0 part is {non_unit.constant_term()}, not 1"
+        with pytest.raises(NonUnitError, match=message):
+            x._divided_by(non_unit)
+        with pytest.raises(NonUnitError, match=message):
+            non_unit.invert_unit_series()
     units = [tuple(int(j == i) for j in range(len(dims))) for i in range(len(dims))]
     one_plus_d = {(0,) * len(dims): Fraction(1), **dict(zip(units, map(Fraction, degrees)))}
     assert dict(line_bundle(space, degrees, multiplicity).total_chern.terms) == _naive_power(
         dims, one_plus_d, multiplicity
     )
     ell = ChowElement(space, dict(zip(units, linear)))
+    L = BundleClass(space, 1, 1 + ell)
     for r in range(-3, 9):
-        power = ell._one_plus_c1_power(r)
-        assert power * ell._one_plus_c1_power(-r) == one
+        power = one._twisted(1 + ell, r)
+        assert power * one._twisted(1 + ell, -r) == one
         if r >= 0:
             assert power == (1 + ell) ** r
+    # Rank 0, a rank below the top degree (so c_i != 0 above the rank), and l
+    # with denominators: the weighted product against Horner written here.
+    for rank in (0, multiplicity):
+        for E in (BundleClass(space, rank, unit), BundleClass(space, rank, q)):
+            assert twist(E, L).total_chern == _horner_twist(E.total_chern, ell, rank)
     halves = [(e, c / 2) for e, c in a.items()]
     cancelling = list(a.items()) + [(e, -c) for e, c in a.items()]
     for lhs, rhs in (

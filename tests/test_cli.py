@@ -135,6 +135,31 @@ def test_deeply_nested_expression_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_resolution_error_carries_the_file_prefix(tmp_path, capsys):
+    path = _scenario_file(tmp_path, {"A": "O(0,0)^1", "B": "sum(C, O(0,1))"})
+    code, out, err = run_cli(capsys, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: bundles.B: undefined bundle name 'C'\n"
+
+
+def test_report_number_beyond_digit_limit_exits_1(tmp_path, capsys):
+    # Every literal fits the 4300-digit bound, but c(B-A) does not.
+    path = _scenario_file(
+        tmp_path,
+        {
+            "L": "O(0," + "9" * 4000 + ")",
+            "A": "O(0,0)^1",
+            "B": "twist(sum(O(1,0), O(0,1)), L)",
+        },
+    )
+    code, out, err = run_cli(capsys, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: report: c2(B-A): a number has more than 4300 digits")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "expression",
     ["O(" + "1" * 5001 + ",0)^2", "O(1,0)^" + "1" * 5001],

@@ -110,14 +110,16 @@ def test_reference_cycle_detected():
     for bundles, cycle in cases:
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario_data(minimal_data(bundles=bundles))
-        assert str(excinfo.value) == f"bundles.A: bundle reference cycle: {cycle}"
+        assert str(excinfo.value) == (
+            f"<scenario>: bundles.A: bundle reference cycle: {cycle}"
+        )
 
 
 def test_unresolved_reference_in_expression():
     data = minimal_data(bundles={"A": "O(0,0)^1", "B": "sum(C, O(0,1))"})
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario_data(data)
-    assert str(excinfo.value) == "bundles.B: undefined bundle name 'C'"
+    assert str(excinfo.value) == "<scenario>: bundles.B: undefined bundle name 'C'"
 
 
 def test_long_chain_of_names_resolves():
