@@ -111,7 +111,7 @@ def twist(E: BundleClass, L: BundleClass) -> BundleClass:
     _check_same_space(E, L)
     if L.rank != 1:
         raise RankError(f"twisting requires a rank-1 bundle, got rank {L.rank}")
-    if 1 + L.total_chern.graded_part(1) != L.total_chern:
+    if not L.total_chern._vanishes_above(1):  # its degree-0 part is 1 already
         raise RankError(
             "twisting requires a line bundle, got a rank-1 class with total "
             f"Chern class {L.total_chern}"

@@ -29,6 +29,10 @@ binomial series in one pass over the monomials, and the twist sum
 sum_i c_i (1 + l)^{r - i} of Fulton, Intersection Theory, Ex. 3.2.2, is one
 product of c with the powers of l, weighted by a table of binomials.
 
+The text form prints each nonzero term as its coefficient followed by the
+monomial's label (``*H1*H2^3``), read from the same table; a term's fraction
+is reduced by one gcd only when the denominator is not 1.
+
 >>> P13 = ProductSpace((1, 3))
 >>> h1, h2 = hyperplane(P13, 1), hyperplane(P13, 2)
 >>> print((h1 + h2) * h2 ** 3)
@@ -85,7 +89,9 @@ class ProductSpace:
 class _Table:
     """The monomial basis of one space and its multiplication pattern."""
 
-    __slots__ = ("monomials", "index", "degrees", "multinomials", "partners", "linear")
+    __slots__ = (
+        "monomials", "index", "degrees", "multinomials", "partners", "linear", "labels"
+    )
 
     def __init__(self, dims: tuple[int, ...]):
         self.monomials = list(product(*(range(n + 1) for n in dims)))
@@ -109,6 +115,11 @@ class _Table:
         ]
         # The indices of H_1, ..., H_k: the strides of the mixed radix.
         self.linear = [offsets[i][0][1] for i in range(len(dims))]
+        # The text of each monomial after its coefficient: "", "*H1", "*H1*H2^3".
+        self.labels = [
+            "".join(f"*H{f}" if e == 1 else f"*H{f}^{e}" for f, e in enumerate(m, 1) if e)
+            for m in self.monomials
+        ]
 
 
 _table = cache(_Table)
@@ -237,6 +248,11 @@ class ChowElement:
         """True when every nonzero term has the given total degree."""
         degrees = _table(self._space.dims).degrees
         return all(d == degree for v, d in zip(self._nums, degrees) if v)
+
+    def _vanishes_above(self, degree: int) -> bool:
+        """True when every term of total degree above ``degree`` is zero."""
+        degrees = _table(self._space.dims).degrees
+        return not any(v for v, d in zip(self._nums, degrees) if d > degree)
 
     # -- ring operations ---------------------------------------------------
 
@@ -455,17 +471,17 @@ class ChowElement:
     # -- canonical text form -----------------------------------------------
 
     def __str__(self):
-        monomials, den = _table(self._space.dims).monomials, self._den
-        parts = []
-        for i in range(len(monomials) - 1, -1, -1):
-            if not self._nums[i]:
-                continue
-            factors = [str(Fraction(self._nums[i], den))]
-            for f, e in enumerate(monomials[i]):
-                if e == 0:
-                    continue
-                factors.append(f"H{f + 1}" if e == 1 else f"H{f + 1}^{e}")
-            parts.append("*".join(factors))
+        labels, den = _table(self._space.dims).labels, self._den
+        pairs = zip(reversed(self._nums), reversed(labels))
+        if den == 1:
+            parts = [f"{v}{label}" for v, label in pairs if v]
+        else:
+            parts = []
+            for v, label in pairs:
+                if v:
+                    g = gcd(v, den)
+                    q = den // g
+                    parts.append(f"{v // g}{label}" if q == 1 else f"{v // g}/{q}{label}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):

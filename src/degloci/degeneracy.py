@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from .bundles import BundleClass, chern, virtual_difference
-from .chow import ChowElement, ProductSpace, _one_plus_linear_power
+from .chow import ChowElement, ProductSpace, _make, _table
 from .errors import InternalCheckError, RankError, SpaceMismatchError
 
 
@@ -77,13 +78,16 @@ class VirtualChernNumbers:
 def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowElement]:
     """c_1 and c_2 of the tangent bundle of a product of projective spaces.
 
-    The Euler sequence gives c(T) = prod_i (1 + H_i)^{n_i + 1}, reduced.
+    The Euler sequence gives c(T) = prod_i (1 + H_i)^{n_i + 1}, reduced, whose
+    coefficient of H^e is prod_i binomial(n_i + 1, e_i); both classes are read
+    off from that with no ring product.
     """
-    total = ChowElement.one(space)
-    for i, n in enumerate(space.dims):
-        unit = [int(j == i) for j in range(space.num_factors)]
-        total = total * _one_plus_linear_power(space, unit, n + 1)
-    return total.graded_part(1), total.graded_part(2)
+    table = _table(space.dims)
+    parts = [[0] * len(table.monomials) for _ in range(3)]  # c_0, c_1, c_2 of c(T)
+    for k, (exps, degree) in enumerate(zip(table.monomials, table.degrees)):
+        if degree <= 2:
+            parts[degree][k] = prod(comb(n + 1, e) for n, e in zip(space.dims, exps))
+    return _make(space, parts[1], 1), _make(space, parts[2], 1)
 
 
 def _degree4_integral(x: ChowElement) -> Fraction:

@@ -2,16 +2,32 @@
 
 Everything numeric in this package is an exact ``fractions.Fraction``; floats
 are refused at every boundary so that no rounding can creep into a result.
-Decimal renderings are produced only at output time, from the exact value.
+Decimal renderings are produced only at output time, from the exact value,
+in a decimal context of their own, so they do not depend on the calling
+thread's context (its precision, rounding, traps or exponent letter).
 """
 
 from __future__ import annotations
 
 import re
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+# The context of every decimal rendering, less its precision.  Every field is
+# named, since Context() copies an unnamed one from decimal.DefaultContext,
+# which a caller may change.  It is only ever copied, so no rendering sees
+# another's flags.
+_DECIMAL_CONTEXT = Context(
+    rounding=ROUND_HALF_EVEN,
+    Emin=-999999,
+    Emax=999999,
+    capitals=1,
+    clamp=0,
+    flags=[],
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
 
 
 def as_fraction(value) -> Fraction:
@@ -51,12 +67,12 @@ def rational_text(q: Fraction) -> str:
 def decimal_text(q: Fraction, significant_digits: int = 6) -> str:
     """Decimal rendering to the given number of significant digits.
 
-    Derived from the exact value at call time; exact integers print without
-    padding (216 -> '216') while true rationals round (98/15 -> '6.53333').
+    Derived from the exact value at call time, rounding half to even;
+    exact integers print without padding (216 -> '216') while true rationals
+    round (98/15 -> '6.53333').  The caller's decimal context plays no part.
     """
     if significant_digits < 1:
         raise ValueError("significant_digits must be >= 1")
-    with localcontext() as ctx:
-        ctx.prec = significant_digits
-        d = Decimal(q.numerator) / Decimal(q.denominator)
-    return str(d)
+    ctx = _DECIMAL_CONTEXT.copy()
+    ctx.prec = significant_digits
+    return ctx.to_sci_string(ctx.divide(q.numerator, q.denominator))

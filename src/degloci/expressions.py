@@ -16,6 +16,10 @@ AST with one node type per kind of leaf and one, ``Apply``, for operators:
 >>> parse_expression("twist(E, O(0,2))")
 Apply(op='twist', args=(NameRef(name='E'), LineBundleExpr(degrees=(0, 2), multiplicity=1)))
 
+A text is split into its tokens by one regular-expression call and parsed
+from that list by index; where each token starts is worked out only when an
+error message names it.
+
 Evaluation maps an AST to a BundleClass through a caller-supplied resolver
 for names.  An expression may nest at most ``MAX_DEPTH`` levels deep
 (``O(..)`` and a name count as one level each); deeper input is an
@@ -35,9 +39,12 @@ from .bundles import BundleClass
 from .chow import ProductSpace
 from .errors import ExpressionError
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>->|[(),^]))"
-)
+# One token after optional blanks.  Splitting a text on this pattern leaves
+# the tokens at odd indices; the pieces between them are empty or blanks
+# unless the text holds a character no token starts with.
+_TOKEN_RE = re.compile(r"\s*(-?\d+|[A-Za-z_][A-Za-z0-9_]*|->|[(),^])")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_SYMBOLS = frozenset({"(", ")", ",", "^", "->"})
 
 # operator -> (name of its function in ``bundles``, token between its two
 # operands, or None for one operand).  The function is looked up by name at
@@ -74,122 +81,120 @@ class Apply:
 Expression = Union[LineBundleExpr, NameRef, Apply]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, position); kinds: int, name, sym."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ExpressionError(
-                f"unexpected character {rest[0]!r} at position {pos} in {text!r}"
-            )
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, value: str | None = None):
-        tok = self._next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ExpressionError(
-                f"expected {want!r} at position {tok[2]} in {self.text!r}, got {tok[1]!r}"
-            )
-        return tok
-
-    def _expect_int(self) -> int:
-        _, digits, pos = self._expect("int")
-        try:
-            return int(digits)
-        except ValueError as exc:  # beyond the int-string conversion limit
-            raise ExpressionError(
-                f"integer literal at position {pos} has more than "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from exc
-
-    def parse(self) -> Expression:
-        expr = self._parse_expr(1)
-        tok = self._peek()
-        if tok is not None:
-            raise ExpressionError(
-                f"unexpected trailing {tok[1]!r} at position {tok[2]} in {self.text!r}"
-            )
-        return expr
-
-    def _parse_expr(self, depth: int) -> Expression:
-        tok = self._next()
-        if depth > MAX_DEPTH:
-            raise ExpressionError(
-                f"expression nested deeper than {MAX_DEPTH} levels at position {tok[2]}"
-            )
-        if tok[0] != "name":
-            raise ExpressionError(
-                f"expected an expression at position {tok[2]} in {self.text!r}, got {tok[1]!r}"
-            )
-        head = tok[1]
-        if head == "O":
-            return self._parse_line_bundle()
-        if head not in _OPERATORS:
-            return NameRef(head)
-        separator = _OPERATORS[head][1]
-        self._expect("sym", "(")
-        args = [self._parse_expr(depth + 1)]
-        if separator is not None:
-            self._expect("sym", separator)
-            args.append(self._parse_expr(depth + 1))
-        self._expect("sym", ")")
-        return Apply(head, tuple(args))
-
-    def _parse_line_bundle(self) -> LineBundleExpr:
-        self._expect("sym", "(")
-        degrees = [self._expect_int()]
-        while True:
-            tok = self._next()
-            if tok[0] == "sym" and tok[1] == ")":
-                break
-            if tok[0] != "sym" or tok[1] != ",":
-                raise ExpressionError(
-                    f"expected ',' or ')' at position {tok[2]} in {self.text!r}, got {tok[1]!r}"
-                )
-            degrees.append(self._expect_int())
-        multiplicity = 1
-        tok = self._peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "^":
-            self._next()
-            multiplicity = self._expect_int()
-            if multiplicity < 1:
-                raise ExpressionError(
-                    f"multiplicity must be at least 1, got {multiplicity} in {self.text!r}"
-                )
-        return LineBundleExpr(tuple(degrees), multiplicity)
-
-
 def parse_expression(text: str) -> Expression:
     """Parse an expression string to its AST, raising ExpressionError on bad input."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError(f"expected a nonempty expression string, got {text!r}")
-    return _Parser(text).parse()
+    pieces = _TOKEN_RE.split(text)
+    if "".join(pieces[::2]).strip():
+        raise _bad_character(text)
+    tokens = pieces[1::2]
+    tokens.append("")  # the end: no token is empty
+    expr, i = _parse(text, tokens, 0, 1)
+    if tokens[i]:
+        raise ExpressionError(
+            f"unexpected trailing {tokens[i]!r} at position {_position(text, i)} in {text!r}"
+        )
+    return expr
+
+
+# Each parsing function takes the index of the first token of its phrase and
+# returns the phrase's AST with the index after it.
+
+
+def _parse(text: str, tokens: list[str], i: int, depth: int) -> tuple[Expression, int]:
+    head = tokens[i]
+    if depth > MAX_DEPTH or head[:1] not in _NAME_START:
+        if head and depth > MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nested deeper than {MAX_DEPTH} levels at position "
+                f"{_position(text, i)}"
+            )
+        raise _unexpected(text, tokens, i, "expected an expression")
+    if head == "O":
+        return _parse_line_bundle(text, tokens, i + 1)
+    operator = _OPERATORS.get(head)
+    if operator is None:
+        return NameRef(head), i + 1
+    if tokens[i + 1] != "(":
+        raise _unexpected(text, tokens, i + 1, "expected '('")
+    first, i = _parse(text, tokens, i + 2, depth + 1)
+    separator = operator[1]
+    if separator is None:
+        args = (first,)
+    else:
+        if tokens[i] != separator:
+            raise _unexpected(text, tokens, i, f"expected {separator!r}")
+        second, i = _parse(text, tokens, i + 1, depth + 1)
+        args = (first, second)
+    if tokens[i] != ")":
+        raise _unexpected(text, tokens, i, "expected ')'")
+    return Apply(head, args), i + 1
+
+
+def _parse_line_bundle(text: str, tokens: list[str], i: int) -> tuple[LineBundleExpr, int]:
+    """The rest of ``O(a1,...,ak)`` or ``O(a1,...,ak)^m`` from its "("."""
+    if tokens[i] != "(":
+        raise _unexpected(text, tokens, i, "expected '('")
+    degrees = []
+    while True:
+        degrees.append(_integer(text, tokens, i + 1))
+        i += 2
+        tok = tokens[i]
+        if tok == ")":
+            break
+        if tok != ",":
+            raise _unexpected(text, tokens, i, "expected ',' or ')'")
+    i += 1
+    multiplicity = 1
+    if tokens[i] == "^":
+        multiplicity = _integer(text, tokens, i + 1)
+        i += 2
+        if multiplicity < 1:
+            raise ExpressionError(
+                f"multiplicity must be at least 1, got {multiplicity} in {text!r}"
+            )
+    return LineBundleExpr(tuple(degrees), multiplicity), i
+
+
+def _integer(text: str, tokens: list[str], i: int) -> int:
+    tok = tokens[i]
+    try:
+        return int(tok)
+    except ValueError as exc:
+        if not tok or tok[0] in _NAME_START or tok in _SYMBOLS:
+            raise _unexpected(text, tokens, i, "expected 'int'") from None
+        # An integer token beyond the int-string conversion limit.
+        raise ExpressionError(
+            f"integer literal at position {_position(text, i)} has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
+def _unexpected(text: str, tokens: list[str], i: int, expected: str) -> ExpressionError:
+    """The error for token i where the grammar wanted something else."""
+    if not tokens[i]:
+        return ExpressionError(f"unexpected end of expression in {text!r}")
+    return ExpressionError(
+        f"{expected} at position {_position(text, i)} in {text!r}, got {tokens[i]!r}"
+    )
+
+
+def _position(text: str, i: int) -> int:
+    """Where token i of a text with no bad character starts."""
+    return [match.start(1) for match in _TOKEN_RE.finditer(text)][i]
+
+
+def _bad_character(text: str) -> ExpressionError:
+    """The error for the first character of a text that starts no token."""
+    pos = 0
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:
+            break
+        pos = match.end()
+    return ExpressionError(
+        f"unexpected character {text[pos:].lstrip()[0]!r} at position {pos} in {text!r}"
+    )
 
 
 def _referenced_names(expr: Expression) -> list[str]:

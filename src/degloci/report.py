@@ -6,12 +6,13 @@ entry list: ``exact`` prints rationals as p/q, ``decimal`` re-renders the
 rational scalars to 6 significant digits, and ``json`` carries both forms.
 Decimal strings are derived from the exact values at render time only, and
 every renderer is a pure function of the report, so equal reports produce
-byte-identical output.  The JSON document is written by a short recursive
-writer that gives the bytes of ``json.dumps(doc, indent=2)``: with ``indent``
-set, ``json`` falls back to its pure-Python encoder, which costs several times
-more.  A value whose text would need an integer beyond Python's int-to-string
-digit limit (4300 digits by default) is refused with a ``ScenarioError``; the
-process-wide limit is left as it is.
+byte-identical output.  The JSON renderer writes its fixed schema (scenario,
+space, values, then checks when there are any) directly, with the bytes of
+``json.dumps(doc, indent=2)``: with ``indent`` set, ``json`` falls back to its
+pure-Python encoder, which costs several times more.  A value whose text
+would need an integer beyond Python's int-to-string digit limit (4300 digits
+by default) is refused with a ``ScenarioError``; the process-wide limit is
+left as it is.
 """
 
 from __future__ import annotations
@@ -111,41 +112,42 @@ def render_decimal(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
-    values = {}
-    for entry in report.entries:
-        item: dict = {"kind": entry.kind, "exact": entry.exact}
-        if entry.kind == "rational":
-            item["decimal"] = entry.decimal
-        values[entry.key] = item
-    doc: dict = {
-        "scenario": report.scenario,
-        "space": report.space,
-        "values": values,
-    }
-    if report.checks:
-        doc["checks"] = {
-            c.key: {"passed": c.passed, "detail": c.detail} for c in report.checks
-        }
-    return _json(doc, "") + "\n"
+    # A repeated key keeps the place of its first entry and the value of its
+    # last, as in a dict.
+    values = {entry.key: entry for entry in report.entries}
+    checks = {check.key: check for check in report.checks}
+    out = [
+        '{\n  "scenario": ', _quote(report.scenario),
+        ',\n  "space": ', _quote(report.space),
+        ',\n  "values": ',
+    ]
+    if values:
+        items = []
+        for key, entry in values.items():
+            item = (
+                f'    {_quote(key)}: {{\n      "kind": {_quote(entry.kind)},'
+                f'\n      "exact": {_quote(entry.exact)}'
+            )
+            if entry.kind == "rational":
+                item += f',\n      "decimal": {_quote(entry.decimal)}'
+            items.append(item + "\n    }")
+        out += ["{\n", ",\n".join(items), "\n  }"]
+    else:
+        out.append("{}")
+    if checks:
+        items = [
+            f'    {_quote(key)}: {{\n      "passed": {"true" if check.passed else "false"},'
+            f'\n      "detail": {_quote(check.detail)}\n    }}'
+            for key, check in checks.items()
+        ]
+        out += [',\n  "checks": {\n', ",\n".join(items), "\n  }"]
+    out.append("\n}\n")
+    return "".join(out)
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` for the str, dict, bool and None of a report."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = ",\n".join(
-            f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
-            for k, v in value.items()
-        )
-        return f"{{\n{items}\n{pad}}}"
-    return _JSON_CONSTANTS[value]
+def _quote(text: str | None) -> str:
+    """A JSON string literal, as ``json.dumps`` writes it, or null for None."""
+    return "null" if text is None else encode_basestring_ascii(text)
 
 
 RENDERERS = {

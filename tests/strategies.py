@@ -12,6 +12,7 @@ from degloci import (
     direct_sum,
     line_bundle,
 )
+from degloci.expressions import _KEYWORDS, _OPERATORS, Apply, LineBundleExpr, NameRef
 
 CHOW_SPACES = (
     ProductSpace((1,)),
@@ -191,3 +192,79 @@ def base_change_params(draw, nonzero_lambda: bool = False):
         base_delta0=draw(rationals),
         base_delta_rest=tuple(draw(st.lists(rationals, max_size=3))),
     )
+
+
+# -- bundle expressions -----------------------------------------------------
+
+_NAME_CHARS = "ABEOZabdeksx_"  # a sample, with the first letters of the keywords
+bundle_names = st.builds(
+    str.__add__, st.sampled_from(_NAME_CHARS), st.text(_NAME_CHARS + "0129", max_size=4)
+).filter(lambda name: name not in _KEYWORDS)
+
+line_bundle_exprs = st.builds(
+    LineBundleExpr,
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4).map(tuple),
+    st.integers(1, 20),
+)
+
+
+def _applications(children):
+    return st.one_of(
+        *(
+            st.tuples(*[children] * (1 if separator is None else 2)).map(
+                lambda args, op=op: Apply(op, args)
+            )
+            for op, (_, separator) in _OPERATORS.items()
+        )
+    )
+
+
+# Well-formed ASTs with at most 8 leaves.
+expression_asts = st.recursive(
+    st.one_of(line_bundle_exprs, bundle_names.map(NameRef)), _applications, max_leaves=8
+)
+
+
+def expression_tokens(expr) -> list[str]:
+    """The tokens of the canonical text of an AST, in order."""
+    if isinstance(expr, NameRef):
+        return [expr.name]
+    if isinstance(expr, LineBundleExpr):
+        tokens = ["O", "("]
+        for degree in expr.degrees:
+            tokens += [str(degree), ","]
+        tokens[-1] = ")"
+        if expr.multiplicity != 1:
+            tokens += ["^", str(expr.multiplicity)]
+        return tokens
+    separator = _OPERATORS[expr.op][1]
+    tokens = [expr.op, "(", *expression_tokens(expr.args[0])]
+    if separator is not None:
+        tokens += [separator, *expression_tokens(expr.args[1])]
+    return tokens + [")"]
+
+
+blanks = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \r\n "])
+
+
+@st.composite
+def printed_expressions(draw):
+    """(AST, its text with random blanks around every token)."""
+    expr = draw(expression_asts)
+    tokens = expression_tokens(expr)
+    gaps = draw(st.lists(blanks, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return expr, "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+
+
+# Pieces of the grammar's alphabet, some malformed, and literals near and
+# beyond the int-string digit limit.
+_EXPRESSION_PIECES = [
+    "O", "(", ")", ",", "^", "->", "-", ">", "0", "1", "-3", "42", "sum", "dual",
+    "twist", "ker", "E", "x_1", " ", "\t", "$", ".", "*", "\u00e9", "\u0663",
+    "9" * 4300, "9" * 4301,
+]
+
+expression_texts = st.one_of(
+    st.text(alphabet="O(),^->0123456789 sumdualtwistkerE_\t$.", max_size=40),
+    st.lists(st.sampled_from(_EXPRESSION_PIECES), max_size=30).map("".join),
+)

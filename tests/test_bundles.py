@@ -106,6 +106,13 @@ def test_twist_refuses_rank_one_class_that_is_not_a_line_bundle():
     assert kernel.rank == 1
     with pytest.raises(RankError, match="line bundle"):
         twist(line_bundle(P13, (1, 0)), kernel)
+    # On P^2 x P^2, ker(O(1,0)^2 -> O(2,0)) has c = (1 + H1)^2 / (1 + 2 H1) = 1 + H1^2:
+    # no c_1 and nothing above degree 2.
+    P22 = ProductSpace((2, 2))
+    kernel = kernel_from_sequence(line_bundle(P22, (1, 0), 2), line_bundle(P22, (2, 0)))
+    assert str(kernel.total_chern) == "1*H1^2 + 1"
+    with pytest.raises(RankError, match="line bundle"):
+        twist(line_bundle(P22, (0, 1)), kernel)
 
 
 def test_kernel_from_sequence_examples():

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 import properties
+from strategies import chow_elements, spaces
 from degloci import (
     ChowElement,
     NonUnitError,
@@ -129,6 +131,25 @@ def test_str_canonical_form():
     assert str((H1 + H2) * H2**3) == "1*H1*H2^3"
     assert str(-5 * H2 + 4 * H1) == "4*H1 + -5*H2"
     assert str(Fraction(1, 2) * H2**2) == "1/2*H2^2"
+
+
+def _reference_str(x: ChowElement) -> str:
+    """The canonical form from one Fraction per term, highest monomial first."""
+    parts = []
+    for exps, coeff in sorted(x.terms.items(), reverse=True):
+        factors = [str(coeff)]
+        factors += [f"H{f + 1}" if e == 1 else f"H{f + 1}^{e}" for f, e in enumerate(exps) if e]
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
+@settings(max_examples=60)
+@example(ChowElement.zero(P13))
+@example(Fraction(-1, 2) * H1 + Fraction(2, 3) * H2**3 - Fraction(5, 6))
+@given(spaces().flatmap(chow_elements))
+def test_str_matches_fraction_per_term_printer(x):
+    assert str(x) == _reference_str(x)
+    assert ChowElement.from_text(x.space, str(x)) == x
 
 
 def test_from_text_round_trip():

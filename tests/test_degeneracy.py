@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import strategies as stg
 from degloci import (
+    ChowElement,
     DegeneracyInput,
     InternalCheckError,
     ProductSpace,
@@ -56,6 +57,19 @@ def test_ambient_tangent_of_product():
     c1, c2 = ambient_tangent_of_product(P4)
     assert c1 == 5 * h
     assert c2 == 10 * h**2
+
+
+def test_ambient_tangent_matches_euler_sequence_product():
+    # c(T) = prod_i c(O(H_i)^{n_i + 1}), multiplied out in the ring.
+    for space in stg.KERNEL_SPACES:
+        total = ChowElement.one(space)
+        for i, n in enumerate(space.dims):
+            unit = [int(j == i) for j in range(space.num_factors)]
+            total = total * line_bundle(space, unit, n + 1).total_chern
+        assert ambient_tangent_of_product(space) == (
+            total.graded_part(1),
+            total.graded_part(2),
+        ), space
 
 
 def test_m15_virtual_chern_numbers():

@@ -1,5 +1,6 @@
 """Scalar coercion and rendering."""
 
+from decimal import ROUND_DOWN, DefaultContext, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
@@ -44,3 +45,28 @@ def test_decimal_text_six_significant_digits():
 def test_decimal_text_rejects_bad_precision():
     with pytest.raises(ValueError):
         decimal_text(Fraction(1), significant_digits=0)
+
+
+def test_decimal_text_ignores_the_callers_context():
+    cases = {
+        Fraction(2, 3): "0.666667",
+        Fraction(-2, 3): "-0.666667",
+        Fraction(10**7, 3): "3.33333E+6",
+    }
+    with localcontext() as ctx:
+        ctx.prec = 2
+        ctx.rounding = ROUND_DOWN
+        ctx.capitals = 0
+        ctx.traps[Inexact] = True
+        for q, text in cases.items():
+            assert decimal_text(q) == text
+    # Nor does decimal.DefaultContext, whence a new Context() copies unset fields.
+    saved = DefaultContext.rounding, DefaultContext.capitals, dict(DefaultContext.traps)
+    try:
+        DefaultContext.rounding = ROUND_DOWN
+        DefaultContext.capitals = 0
+        DefaultContext.traps[Inexact] = True
+        for q, text in cases.items():
+            assert decimal_text(q) == text
+    finally:
+        DefaultContext.rounding, DefaultContext.capitals, DefaultContext.traps = saved

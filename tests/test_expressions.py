@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from degloci import (
     ExpressionError,
@@ -25,6 +26,7 @@ from degloci.expressions import (
     LineBundleExpr,
     NameRef,
 )
+from strategies import expression_texts, printed_expressions
 
 P13 = ProductSpace((1, 3))
 
@@ -53,29 +55,73 @@ def test_parse_compound_expressions():
     )
 
 
-def test_parse_errors():
-    bad = [
-        "",
-        "   ",
-        "O(1,0",
-        "O()",
-        "O(1,0)^0",
-        "O(1,0)^-2",
-        "sum(O(1,0))",
+# Each malformed input with the exact message it must raise.
+_BIG = "9" * 5001
+PARSE_ERRORS = [
+    ("", "expected a nonempty expression string, got ''"),
+    ("   ", "expected a nonempty expression string, got '   '"),
+    ("O(1,0", "unexpected end of expression in 'O(1,0'"),
+    ("O(1,0)^", "unexpected end of expression in 'O(1,0)^'"),
+    ("dual(", "unexpected end of expression in 'dual('"),
+    ("O()", "expected 'int' at position 2 in 'O()', got ')'"),
+    ("O(1,0)^0", "multiplicity must be at least 1, got 0 in 'O(1,0)^0'"),
+    ("O(1,0)^-2", "multiplicity must be at least 1, got -2 in 'O(1,0)^-2'"),
+    ("sum(O(1,0))", "expected ',' at position 10 in 'sum(O(1,0))', got ')'"),
+    (
         "sum(O(1,0), O(0,1), O(0,0))",
-        "twist(O(1,0))",
+        "expected ')' at position 18 in 'sum(O(1,0), O(0,1), O(0,0))', got ','",
+    ),
+    ("twist(O(1,0))", "expected ',' at position 12 in 'twist(O(1,0))', got ')'"),
+    (
         "ker(O(1,0), O(0,1))",
+        "expected '->' at position 10 in 'ker(O(1,0), O(0,1))', got ','",
+    ),
+    (
         "sum(O(1,0) -> O(0,1))",
+        "expected ',' at position 11 in 'sum(O(1,0) -> O(0,1))', got '->'",
+    ),
+    (
         "dual(O(1,0), O(0,1))",
-        "O(1,0)->O(0,1)",
-        "dual O(1,0)",
-        "O(1,0) extra",
-        "O(1.5,0)",
-        "2*H1",
-    ]
-    for text in bad:
-        with pytest.raises(ExpressionError):
+        "expected ')' at position 11 in 'dual(O(1,0), O(0,1))', got ','",
+    ),
+    ("O(1;0)", "unexpected character ';' at position 3 in 'O(1;0)'"),
+    ("O(1 0)", "expected ',' or ')' at position 4 in 'O(1 0)', got '0'"),
+    ("O(1,0)->O(0,1)", "unexpected trailing '->' at position 6 in 'O(1,0)->O(0,1)'"),
+    ("dual O(1,0)", "expected '(' at position 5 in 'dual O(1,0)', got 'O'"),
+    ("O(1,0) extra", "unexpected trailing 'extra' at position 7 in 'O(1,0) extra'"),
+    ("O(1.5,0)", "unexpected character '.' at position 3 in 'O(1.5,0)'"),
+    ("2*H1", "unexpected character '*' at position 1 in '2*H1'"),
+    # The position is where the scan stopped, before the blank.
+    ("O(1,0) $", "unexpected character '$' at position 6 in 'O(1,0) $'"),
+    ("sum(E, -)", "unexpected character '-' at position 6 in 'sum(E, -)'"),
+    ("->", "expected an expression at position 0 in '->', got '->'"),
+    ("sum(E, 3)", "expected an expression at position 7 in 'sum(E, 3)', got '3'"),
+    (f"O(0,{_BIG})", "integer literal at position 4 has more than 4300 digits"),
+    (f"O(1,0)^{_BIG}", "integer literal at position 7 has more than 4300 digits"),
+]
+
+
+def test_parse_errors():
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(ExpressionError) as caught:
             parse_expression(text)
+        assert str(caught.value) == message, text[:40]
+
+
+@settings(max_examples=100, deadline=None)
+@given(printed_expressions())
+def test_parse_printed_ast_round_trip(case):
+    expr, text = case
+    assert parse_expression(text) == expr
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_texts)
+def test_parse_arbitrary_text_parses_or_raises_expression_error(text):
+    try:
+        parse_expression(text)
+    except ExpressionError:
+        pass
 
 
 def test_nesting_depth_bound():
