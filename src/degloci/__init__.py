@@ -38,7 +38,7 @@ from .bundles import (
     twist,
     virtual_difference,
 )
-from .chow import ChowElement, ProductSpace, hyperplane, linear_combine
+from .chow import ChowElement, ProductSpace, hyperplane
 from .degeneracy import (
     DegeneracyInput,
     VirtualChernNumbers,
@@ -56,7 +56,7 @@ from .errors import (
     SlopeUndefinedError,
     SpaceMismatchError,
 )
-from .exact import as_fraction, decimal_text, rational_text
+from .exact import as_fraction, decimal_text
 from .expressions import evaluate_expression, parse_expression
 from .families import FamilyInvariants, invariants_from_chern_numbers
 from .report import Report, render_decimal, render_exact, render_json
@@ -105,12 +105,10 @@ __all__ = [
     "invariants_from_chern_numbers",
     "kernel_from_sequence",
     "line_bundle",
-    "linear_combine",
     "load_bundled_scenario",
     "load_scenario",
     "parse_expression",
     "pullback_slope",
-    "rational_text",
     "relative_omega_degree",
     "render_decimal",
     "render_exact",

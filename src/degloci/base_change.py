@@ -91,10 +91,6 @@ class PullbackSlope:
     delta_rest_B: tuple[Fraction, ...]
     slope: Fraction
 
-    @property
-    def delta_total(self) -> Fraction:
-        return self.delta0_B + self.delta1_B + sum(self.delta_rest_B, Fraction(0))
-
 
 def relative_omega_degree(params: BaseChangeParams, ell: int) -> Fraction:
     """A_l . omega of the family: (2 g(A_l) - 2) - A_l^2 - m_l (2h - 2)."""

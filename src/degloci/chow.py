@@ -565,24 +565,3 @@ def _one_plus_linear_power(space: ProductSpace, coeffs, r: int) -> ChowElement:
     """
     lead = _binomials(r, space.total_dimension)
     return _make(space, _linear_powers(space, coeffs, lead), 1)
-
-
-def linear_combine(coeffs, elems) -> ChowElement:
-    """The linear combination sum_i coeffs[i] * elems[i] in canonical form."""
-    coeffs = list(coeffs)
-    elems = list(elems)
-    if len(coeffs) != len(elems):
-        raise ValueError(
-            f"got {len(coeffs)} coefficients for {len(elems)} elements"
-        )
-    if not elems:
-        raise ValueError("cannot combine an empty list of elements")
-    space = elems[0].space
-    acc = ChowElement.zero(space)
-    for c, x in zip(coeffs, elems):
-        if x.space != space:
-            raise SpaceMismatchError(
-                f"elements live on different spaces: {space} vs {x.space}"
-            )
-        acc = acc + as_fraction(c) * x
-    return acc

@@ -59,11 +59,6 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def rational_text(q: Fraction) -> str:
-    """Canonical exact rendering: '216', '-3096', '98/15'."""
-    return str(q)
-
-
 def decimal_text(q: Fraction, significant_digits: int = 6) -> str:
     """Decimal rendering to the given number of significant digits.
 

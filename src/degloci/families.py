@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError
-from .exact import as_fraction, decimal_text
+from .exact import as_fraction
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,6 @@ class FamilyInvariants:
     slope: Fraction | None
     fiber_genus: int
     base_genus: int
-
-    def slope_decimal(self, significant_digits: int = 6) -> str | None:
-        """The slope rendered to the given number of significant digits."""
-        if self.slope is None:
-            return None
-        return decimal_text(self.slope, significant_digits)
 
 
 def invariants_from_chern_numbers(

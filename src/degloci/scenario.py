@@ -29,6 +29,7 @@ from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 from .base_change import (
     BaseChangeParams,
@@ -78,50 +79,82 @@ class Scenario:
 
 
 # -- schema helpers ---------------------------------------------------------
+#
+# Each helper names the place of a value inside the document ("family.base_genus",
+# or None for the document itself); parse_scenario_data adds the source once.
 
 
-def _check_keys(mapping: dict, required, optional, where: str):
-    unknown = sorted(set(mapping) - set(required) - set(optional))
-    if unknown:
-        raise ScenarioError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    missing = [k for k in required if k not in mapping]
-    if missing:
-        raise ScenarioError(
-            f"{where}: missing required key(s) {', '.join(map(repr, missing))}"
-        )
+# The integer keys of a base_change block, read in this order, and the
+# BaseChangeParams field each one fills.
+_BASE_CHANGE_INTS = {
+    "m1": "m1", "m2": "m2", "g_a1": "g_A1", "g_a2": "g_A2",
+    "a1_sq": "A1_sq", "a2_sq": "A2_sq", "a12": "A12",
+}
+
+# The required and optional keys of each object whose keys are fixed.
+_OBJECT_KEYS = {
+    None: (("name", "space", "bundles", "degeneracy", "family"), ("base_change", "notes")),
+    "degeneracy": (("a", "b"), ()),
+    "family": (("fiber_genus", "base_genus"), ("allow_low_genus",)),
+    "base_change": (
+        (*_BASE_CHANGE_INTS, "base_lambda", "base_delta0"),
+        ("base_delta_rest", "notes"),
+    ),
+}
 
 
-def _as_object(value, where: str) -> dict:
+def _fail(where: str | None, message: str) -> NoReturn:
+    raise ScenarioError(f"{where}: {message}" if where else message)
+
+
+def _as_object(value, where: str | None) -> dict:
+    """An object, with no unknown and no missing key if its keys are fixed."""
     if not isinstance(value, dict):
-        raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
+        _fail(where, f"expected an object, got {type(value).__name__}")
+    if where in _OBJECT_KEYS:
+        required, optional = _OBJECT_KEYS[where]
+        unknown = sorted(set(value) - set(required) - set(optional))
+        if unknown:
+            _fail(where, f"unknown key(s) {', '.join(map(repr, unknown))}")
+        missing = [k for k in required if k not in value]
+        if missing:
+            _fail(where, f"missing required key(s) {', '.join(map(repr, missing))}")
+    return value
+
+
+def _as_list(value, where: str, what: str, *, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        _fail(where, f"expected a {what}")
     return value
 
 
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str) or not value.strip():
-        raise ScenarioError(f"{where}: expected a nonempty string, got {value!r}")
+        _fail(where, f"expected a nonempty string, got {value!r}")
     return value
 
 
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+        _fail(where, f"expected an integer, got {value!r}")
     return value
 
 
 def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+        _fail(where, f"expected true or false, got {value!r}")
     return value
 
 
 def _as_rational(value, where: str) -> Fraction:
     try:
         return as_fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(
-            f"{where}: expected an integer or 'p/q' string, got {value!r}"
-        ) from exc
+    except (TypeError, ValueError):
+        _fail(where, f"expected an integer or 'p/q' string, got {value!r}")
+
+
+def _notes_list(value, where: str) -> tuple[str, ...]:
+    return tuple(_as_str(n, where) for n in _as_list(value, where, "list of strings"))
 
 
 def _reject_float(text: str):
@@ -130,121 +163,90 @@ def _reject_float(text: str):
     )
 
 
+@contextmanager
+def _stage(label: str):
+    """Relabel value errors from inner modules as scenario errors."""
+    try:
+        yield
+    except (ScenarioError, InternalCheckError):
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"{label}: {exc}") from exc
+
+
 # -- parsing ----------------------------------------------------------------
 
 
 def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
-    """Validate a decoded JSON document and return a runnable Scenario."""
-    top = _as_object(data, source)
-    _check_keys(
-        top,
-        required=("name", "space", "bundles", "degeneracy", "family"),
-        optional=("base_change", "notes"),
-        where=source,
-    )
+    """Validate a decoded JSON document and return a runnable Scenario.
 
-    name = _as_str(top["name"], f"{source}: name")
-
-    space_raw = top["space"]
-    if not isinstance(space_raw, list) or not space_raw:
-        raise ScenarioError(f"{source}: space: expected a nonempty list of dimensions")
+    Every error names ``source`` once, then the faulty place in the document.
+    """
     try:
-        space = ProductSpace(tuple(_as_int(n, f"{source}: space") for n in space_raw))
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: space: {exc}") from exc
+        scenario = _read_document(data)
+        _validate(scenario)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
+    return scenario
 
-    bundles_raw = _as_object(top["bundles"], f"{source}: bundles")
+
+def _read_document(data) -> Scenario:
+    top = _as_object(data, None)
+
+    name = _as_str(top["name"], "name")
+
+    dims = _as_list(top["space"], "space", "nonempty list of dimensions", nonempty=True)
+    with _stage("space"):
+        space = ProductSpace(tuple(_as_int(n, "space") for n in dims))
+
+    bundles_raw = _as_object(top["bundles"], "bundles")
     if not bundles_raw:
-        raise ScenarioError(f"{source}: bundles: at least one bundle is required")
+        _fail("bundles", "at least one bundle is required")
     bundle_exprs = []
     for bname, expr in bundles_raw.items():
         if not _NAME_RE.match(bname) or bname in _KEYWORDS:
-            raise ScenarioError(
-                f"{source}: bundles: {bname!r} is not a usable bundle name"
-            )
-        text = _as_str(expr, f"{source}: bundles.{bname}")
+            _fail("bundles", f"{bname!r} is not a usable bundle name")
+        text = _as_str(expr, f"bundles.{bname}")
         try:
             bundle_exprs.append((bname, parse_expression(text)))
         except ExpressionError as exc:
-            raise ScenarioError(f"{source}: bundles.{bname}: {exc}") from exc
+            raise ScenarioError(f"bundles.{bname}: {exc}") from exc
 
-    degen = _as_object(top["degeneracy"], f"{source}: degeneracy")
-    _check_keys(degen, required=("a", "b"), optional=(), where=f"{source}: degeneracy")
-    a_name = _as_str(degen["a"], f"{source}: degeneracy.a")
-    b_name = _as_str(degen["b"], f"{source}: degeneracy.b")
-    defined = {n for n, _ in bundle_exprs}
+    degen = _as_object(top["degeneracy"], "degeneracy")
+    a_name = _as_str(degen["a"], "degeneracy.a")
+    b_name = _as_str(degen["b"], "degeneracy.b")
     for key, value in (("a", a_name), ("b", b_name)):
-        if value not in defined:
-            raise ScenarioError(
-                f"{source}: degeneracy.{key}: {value!r} is not a defined bundle name"
-            )
+        if value not in bundles_raw:
+            _fail(f"degeneracy.{key}", f"{value!r} is not a defined bundle name")
 
-    family = _as_object(top["family"], f"{source}: family")
-    _check_keys(
-        family,
-        required=("fiber_genus", "base_genus"),
-        optional=("allow_low_genus",),
-        where=f"{source}: family",
-    )
-    fiber_genus = _as_int(family["fiber_genus"], f"{source}: family.fiber_genus")
-    base_genus = _as_int(family["base_genus"], f"{source}: family.base_genus")
+    family = _as_object(top["family"], "family")
+    fiber_genus = _as_int(family["fiber_genus"], "family.fiber_genus")
+    base_genus = _as_int(family["base_genus"], "family.base_genus")
     allow_low_genus = _as_bool(
-        family.get("allow_low_genus", False), f"{source}: family.allow_low_genus"
+        family.get("allow_low_genus", False), "family.allow_low_genus"
     )
 
     base_change = None
     if "base_change" in top:
-        bc = _as_object(top["base_change"], f"{source}: base_change")
-        _check_keys(
-            bc,
-            required=(
-                "m1",
-                "m2",
-                "g_a1",
-                "g_a2",
-                "a1_sq",
-                "a2_sq",
-                "a12",
-                "base_lambda",
-                "base_delta0",
-            ),
-            optional=("base_delta_rest", "notes"),
-            where=f"{source}: base_change",
-        )
+        bc = _as_object(top["base_change"], "base_change")
         rest_raw = bc.get("base_delta_rest", [])
-        if not isinstance(rest_raw, list):
-            raise ScenarioError(
-                f"{source}: base_change.base_delta_rest: expected a list of rationals"
-            )
-        if "notes" in bc:
-            _notes_list(bc["notes"], f"{source}: base_change.notes")
-        try:
+        _as_list(rest_raw, "base_change.base_delta_rest", "list of rationals")
+        _notes_list(bc.get("notes", []), "base_change.notes")
+        with _stage("base_change"):
             base_change = BaseChangeParams(
-                m1=_as_int(bc["m1"], f"{source}: base_change.m1"),
-                m2=_as_int(bc["m2"], f"{source}: base_change.m2"),
-                g_A1=_as_int(bc["g_a1"], f"{source}: base_change.g_a1"),
-                g_A2=_as_int(bc["g_a2"], f"{source}: base_change.g_a2"),
-                A1_sq=_as_int(bc["a1_sq"], f"{source}: base_change.a1_sq"),
-                A2_sq=_as_int(bc["a2_sq"], f"{source}: base_change.a2_sq"),
-                A12=_as_int(bc["a12"], f"{source}: base_change.a12"),
+                **{
+                    field: _as_int(bc[key], f"base_change.{key}")
+                    for key, field in _BASE_CHANGE_INTS.items()
+                },
                 base_genus=base_genus,
-                base_lambda=_as_rational(
-                    bc["base_lambda"], f"{source}: base_change.base_lambda"
-                ),
-                base_delta0=_as_rational(
-                    bc["base_delta0"], f"{source}: base_change.base_delta0"
-                ),
+                base_lambda=_as_rational(bc["base_lambda"], "base_change.base_lambda"),
+                base_delta0=_as_rational(bc["base_delta0"], "base_change.base_delta0"),
                 base_delta_rest=tuple(
-                    _as_rational(d, f"{source}: base_change.base_delta_rest")
-                    for d in rest_raw
+                    _as_rational(d, "base_change.base_delta_rest") for d in rest_raw
                 ),
             )
-        except ValueError as exc:
-            raise ScenarioError(f"{source}: base_change: {exc}") from exc
 
-    notes = _notes_list(top.get("notes", []), f"{source}: notes")
-
-    scenario = Scenario(
+    return Scenario(
         name=name,
         space=space,
         bundle_exprs=tuple(bundle_exprs),
@@ -254,35 +256,26 @@ def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
         base_genus=base_genus,
         allow_low_genus=allow_low_genus,
         base_change=base_change,
-        notes=notes,
+        notes=_notes_list(top.get("notes", []), "notes"),
     )
-    _validate(scenario, source)
-    return scenario
 
 
-def _notes_list(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}: expected a list of strings")
-    return tuple(_as_str(n, where) for n in value)
-
-
-def _validate(scenario: Scenario, source: str):
+def _validate(scenario: Scenario):
     """Check the cross-field invariants that need bundle resolution."""
     if scenario.space.total_dimension != 4:
-        raise ScenarioError(
-            f"{source}: space: the degeneracy pipeline needs total dimension 4, "
-            f"got {scenario.space.total_dimension}"
+        _fail(
+            "space",
+            "the degeneracy pipeline needs total dimension 4, "
+            f"got {scenario.space.total_dimension}",
         )
-    try:
-        env = resolve_bundles(scenario)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{source}: {exc}") from exc
+    env = resolve_bundles(scenario)
     A = env[scenario.degeneracy_a]
     B = env[scenario.degeneracy_b]
     if B.rank != A.rank + 1:
-        raise ScenarioError(
-            f"{source}: degeneracy: rank of {scenario.degeneracy_b!r} must be "
-            f"rank of {scenario.degeneracy_a!r} plus 1, got {B.rank} and {A.rank}"
+        _fail(
+            "degeneracy",
+            f"rank of {scenario.degeneracy_b!r} must be "
+            f"rank of {scenario.degeneracy_a!r} plus 1, got {B.rank} and {A.rank}",
         )
 
 
@@ -311,8 +304,8 @@ def load_bundled_scenario(name: str) -> Scenario:
 def _parse_text(text: str, source: str) -> Scenario:
     try:
         data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except ScenarioError:
-        raise
+    except ScenarioError as exc:  # a floating-point literal
+        raise ScenarioError(f"{source}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
         raise ScenarioError(f"{source}: not valid JSON: {exc}") from exc
     except RecursionError as exc:  # the decoder recurses once per nested array or object
@@ -362,17 +355,6 @@ def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
 # -- pipeline ---------------------------------------------------------------
 
 
-@contextmanager
-def _stage(label: str):
-    """Relabel value errors from inner modules as scenario errors."""
-    try:
-        yield
-    except (ScenarioError, InternalCheckError):
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"{label}: {exc}") from exc
-
-
 def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     """Run the full pipeline and assemble the deterministic report.
 
@@ -419,7 +401,6 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     entries.append(rational_entry("slope", fam.slope))
 
     checks = []
-    sigma = None
     if scenario.base_change is not None:
         params = scenario.base_change
         with _stage("base_change"):
@@ -454,10 +435,11 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
             CheckResult("double_point_c2", dp == numbers.c2, f"{dp} vs {numbers.c2}")
         )
         if scenario.base_change is not None:
-            lhs = beta_delta0_correction(scenario.base_change)
             rhs = sigma[0] + sigma[1]
             checks.append(
-                CheckResult("beta_sigma_identity", lhs == rhs, f"{lhs} vs {rhs}")
+                CheckResult(
+                    "beta_sigma_identity", correction == rhs, f"{correction} vs {rhs}"
+                )
             )
 
     return Report(

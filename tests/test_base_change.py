@@ -82,7 +82,7 @@ def test_pullback_slope_m16_values():
     assert pb.delta0_B == 70640
     assert pb.delta1_B == 16
     assert pb.delta_rest_B == ()
-    assert pb.delta_total == 70656
+    assert pb.delta0_B + pb.delta1_B + sum(pb.delta_rest_B) == 70656
     assert pb.slope == Fraction(1472, 245)
 
 

@@ -13,7 +13,6 @@ from degloci import (
     ProductSpace,
     SpaceMismatchError,
     hyperplane,
-    linear_combine,
 )
 
 P13 = ProductSpace((1, 3))
@@ -61,17 +60,6 @@ def test_mul_examples():
     c1m = 2 * H1 + 4 * H2
     assert c1m * c1m == ChowElement(P13, {(1, 1): 16, (0, 2): 16})
     assert (H1 + H2) * H2**3 == ChowElement(P13, {(1, 3): 1})
-
-
-def test_linear_combine():
-    assert linear_combine([1, -1], [H1, H1]).is_zero()
-    assert linear_combine([2, 3], [H1, H2]) == 2 * H1 + 3 * H2
-    combined = linear_combine([1, 1], [2 * H1 + 4 * H2, -2 * H1])
-    assert combined == 4 * H2
-    with pytest.raises(ValueError):
-        linear_combine([1], [H1, H2])
-    with pytest.raises(SpaceMismatchError):
-        linear_combine([1, 1], [H1, hyperplane(ProductSpace((2, 2)), 1)])
 
 
 def test_space_mismatch_raises():

@@ -96,26 +96,24 @@ def test_overlong_integer_literal_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def _scenario_file(tmp_path, bundles):
+def _scenario_file(tmp_path, **overrides):
+    data = {
+        "name": "hostile",
+        "space": [1, 3],
+        "bundles": {"A": "O(0,0)^1", "B": "sum(O(1,0), O(0,1))"},
+        "degeneracy": {"a": "A", "b": "B"},
+        "family": {"fiber_genus": 2, "base_genus": 0},
+    }
+    data.update(overrides)
     path = tmp_path / "scenario.json"
-    path.write_text(
-        json.dumps(
-            {
-                "name": "hostile",
-                "space": [1, 3],
-                "bundles": bundles,
-                "degeneracy": {"a": "A", "b": "B"},
-                "family": {"fiber_genus": 2, "base_genus": 0},
-            }
-        )
-    )
+    path.write_text(json.dumps(data))
     return str(path)
 
 
 def test_twist_by_rank_one_kernel_exits_1(tmp_path, capsys):
     path = _scenario_file(
         tmp_path,
-        {"A": "O(0,0)^1", "B": "sum(O(0,0), twist(O(1,0), ker(O(0,0)^2 -> O(0,1))))"},
+        bundles={"A": "O(0,0)^1", "B": "sum(O(0,0), twist(O(1,0), ker(O(0,0)^2 -> O(0,1))))"},
     )
     code, out, err = run_cli(capsys, "--config", path)
     assert code == 1
@@ -126,7 +124,9 @@ def test_twist_by_rank_one_kernel_exits_1(tmp_path, capsys):
 
 def test_deeply_nested_expression_exits_1(tmp_path, capsys):
     deep = "dual(" * 3000 + "O(1,0)" + ")" * 3000
-    path = _scenario_file(tmp_path, {"A": "O(0,0)^1", "B": f"sum(O(0,1), {deep})"})
+    path = _scenario_file(
+        tmp_path, bundles={"A": "O(0,0)^1", "B": f"sum(O(0,1), {deep})"}
+    )
     code, out, err = run_cli(capsys, "--config", path)
     assert code == 1
     assert out == ""
@@ -136,18 +136,57 @@ def test_deeply_nested_expression_exits_1(tmp_path, capsys):
 
 
 def test_resolution_error_carries_the_file_prefix(tmp_path, capsys):
-    path = _scenario_file(tmp_path, {"A": "O(0,0)^1", "B": "sum(C, O(0,1))"})
+    path = _scenario_file(tmp_path, bundles={"A": "O(0,0)^1", "B": "sum(C, O(0,1))"})
     code, out, err = run_cli(capsys, "--config", path)
     assert code == 1
     assert out == ""
     assert err == f"error: {path}: bundles.B: undefined bundle name 'C'\n"
 
 
+BASE_CHANGE = {
+    "m1": 14,
+    "m2": 14,
+    "g_a1": 105,
+    "g_a2": 105,
+    "a1_sq": 16,
+    "a2_sq": 16,
+    "a12": 16,
+    "base_lambda": 60,
+    "base_delta0": 392,
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"base_change": {**BASE_CHANGE, "m1": "14"}},
+            "base_change.m1: expected an integer, got '14'",
+        ),
+        ({"space": [1, "3"]}, "space: expected an integer, got '3'"),
+        (
+            {"family": {"fiber_genus": 15.0, "base_genus": 0}},
+            "floating-point literal '15.0' is not allowed; "
+            "use an integer or a 'p/q' string",
+        ),
+    ],
+    ids=["base_change", "space", "float"],
+)
+def test_load_error_names_the_file_once(tmp_path, capsys, overrides, message):
+    path = _scenario_file(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+    assert err.count(path) == 1
+    assert "Traceback" not in err
+
+
 def test_report_number_beyond_digit_limit_exits_1(tmp_path, capsys):
     # Every literal fits the 4300-digit bound, but c(B-A) does not.
     path = _scenario_file(
         tmp_path,
-        {
+        bundles={
             "L": "O(0," + "9" * 4000 + ")",
             "A": "O(0,0)^1",
             "B": "twist(sum(O(1,0), O(0,1)), L)",
@@ -166,7 +205,7 @@ def test_report_number_beyond_digit_limit_exits_1(tmp_path, capsys):
     ids=["degree", "multiplicity"],
 )
 def test_overlong_integer_in_expression_exits_1(tmp_path, capsys, expression):
-    path = _scenario_file(tmp_path, {"A": "O(0,0)^1", "B": expression})
+    path = _scenario_file(tmp_path, bundles={"A": "O(0,0)^1", "B": expression})
     code, out, err = run_cli(capsys, "--config", path)
     assert code == 1
     assert out == ""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from degloci import as_fraction, decimal_text, rational_text
+from degloci import as_fraction, decimal_text
 
 
 def test_as_fraction_accepts_int_fraction_and_string():
@@ -26,12 +26,6 @@ def test_as_fraction_rejects_floats_and_bools():
         as_fraction("1.5")
     with pytest.raises(ValueError):
         as_fraction("3/0")
-
-
-def test_rational_text():
-    assert rational_text(Fraction(216)) == "216"
-    assert rational_text(Fraction(-3096)) == "-3096"
-    assert rational_text(Fraction(98, 15)) == "98/15"
 
 
 def test_decimal_text_six_significant_digits():

@@ -14,7 +14,6 @@ def test_m15_values():
     assert fam.delta == 392
     assert fam.lambda_ == 60
     assert fam.slope == Fraction(98, 15)
-    assert fam.slope_decimal() == "6.53333"
 
 
 def test_lambda_zero_leaves_slope_undefined():
@@ -23,7 +22,6 @@ def test_lambda_zero_leaves_slope_undefined():
     assert fam.delta == 0
     assert fam.lambda_ == 0
     assert fam.slope is None
-    assert fam.slope_decimal() is None
 
 
 def test_small_derived_example():

@@ -1,10 +1,13 @@
 """Scenario schema validation, bundled scenarios, and the pipeline runner."""
 
+import copy
 import gc
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degloci import (
     ScenarioError,
@@ -29,6 +32,24 @@ def minimal_data(**overrides) -> dict:
     }
     data.update(overrides)
     return data
+
+
+BASE_CHANGE = {
+    "m1": 14,
+    "m2": 14,
+    "g_a1": 105,
+    "g_a2": 105,
+    "a1_sq": 16,
+    "a2_sq": 16,
+    "a12": 16,
+    "base_lambda": 60,
+    "base_delta0": 392,
+}
+
+
+def full_data() -> dict:
+    """minimal_data() with every optional block: base_change and notes."""
+    return minimal_data(base_change=copy.deepcopy(BASE_CHANGE), notes=["a note"])
 
 
 def test_bundled_scenarios_load():
@@ -143,17 +164,7 @@ def test_rank_mismatch_rejected():
 
 
 def test_base_change_block_validation():
-    block = {
-        "m1": 14,
-        "m2": 14,
-        "g_a1": 105,
-        "g_a2": 105,
-        "a1_sq": 16,
-        "a2_sq": 16,
-        "a12": 16,
-        "base_lambda": 60,
-        "base_delta0": 392,
-    }
+    block = BASE_CHANGE
     scenario = parse_scenario_data(minimal_data(base_change=dict(block)))
     assert scenario.base_change.base_lambda == 60
 
@@ -288,3 +299,264 @@ def test_report_renderings_are_parseable():
     assert doc["values"]["slope_B"]["exact"] == "1472/245"
     assert doc["values"]["slope_B"]["decimal"] == "6.00816"
     assert doc["values"]["c2(M)"] == {"kind": "class", "exact": "8*H1*H2 + 6*H2^2"}
+
+
+_DROP = object()
+
+
+def _edited(edits) -> object:
+    """full_data() with each dotted path set to a value, or removed by _DROP.
+
+    A non-dict ``edits`` is the whole document.
+    """
+    if not isinstance(edits, dict):
+        return edits
+    data = full_data()
+    for path, value in edits.items():
+        *parents, key = path.split(".")
+        node = data
+        for parent in parents:
+            node = node[parent]
+        if value is _DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return data
+
+
+# Each document's error, less its "bad.json: " prefix, which it carries once.
+LOAD_ERRORS = [
+    ([], "expected an object, got list"),
+    ("small", "expected an object, got str"),
+    ({"surprise": 1}, "unknown key(s) 'surprise'"),
+    ({"zz": 1, "aa": 2}, "unknown key(s) 'aa', 'zz'"),
+    ({"family": _DROP}, "missing required key(s) 'family'"),
+    ({"space": _DROP, "name": _DROP}, "missing required key(s) 'name', 'space'"),
+    ({"name": 1}, "name: expected a nonempty string, got 1"),
+    ({"name": "  "}, "name: expected a nonempty string, got '  '"),
+    ({"space": "1,3"}, "space: expected a nonempty list of dimensions"),
+    ({"space": []}, "space: expected a nonempty list of dimensions"),
+    ({"space": [1, "3"]}, "space: expected an integer, got '3'"),
+    ({"space": [True, 3]}, "space: expected an integer, got True"),
+    ({"space": [0, 4]}, "space: factor dimensions must be positive integers, got 0"),
+    ({"space": [1, 2]}, "space: the degeneracy pipeline needs total dimension 4, got 3"),
+    ({"space": [2, 3]}, "space: the degeneracy pipeline needs total dimension 4, got 5"),
+    ({"bundles": []}, "bundles: expected an object, got list"),
+    ({"bundles": {}}, "bundles: at least one bundle is required"),
+    (
+        {"bundles": {"A": "O(0,0)^1", "sum": "O(1,0)^2"}},
+        "bundles: 'sum' is not a usable bundle name",
+    ),
+    (
+        {"bundles": {"A": "O(0,0)^1", "1B": "O(1,0)^2"}},
+        "bundles: '1B' is not a usable bundle name",
+    ),
+    ({"bundles.B": 5}, "bundles.B: expected a nonempty string, got 5"),
+    ({"bundles.B": ""}, "bundles.B: expected a nonempty string, got ''"),
+    ({"bundles.B": "O(0,0"}, "bundles.B: unexpected end of expression in 'O(0,0'"),
+    (
+        {"bundles.B": "sum(O(1,0))"},
+        "bundles.B: expected ',' at position 10 in 'sum(O(1,0))', got ')'",
+    ),
+    (
+        {"bundles.B": "O(1,0) $"},
+        "bundles.B: unexpected character '$' at position 6 in 'O(1,0) $'",
+    ),
+    ({"bundles.B": "sum(C, O(0,1))"}, "bundles.B: undefined bundle name 'C'"),
+    (
+        {"bundles.A": "sum(B, O(0,0))", "bundles.B": "sum(A, O(0,0))"},
+        "bundles.A: bundle reference cycle: A -> B -> A",
+    ),
+    ({"bundles.A": "dual(A)"}, "bundles.A: bundle reference cycle: A -> A"),
+    (
+        {"bundles.B": "sum(O(1,0,0), O(0,1))"},
+        "bundles.B: O(...) needs 2 degrees on P^1 x P^3, got 3",
+    ),
+    (
+        {"bundles.B": "ker(O(0,0) -> O(1,0)^2)"},
+        "bundles.B: middle rank 1 is smaller than quotient rank 2",
+    ),
+    (
+        {"bundles.B": "twist(sum(O(1,0), O(0,1)), O(0,0)^2)"},
+        "bundles.B: twisting requires a rank-1 bundle, got rank 2",
+    ),
+    (
+        {"bundles.B": "O(1,1)^3"},
+        "degeneracy: rank of 'B' must be rank of 'A' plus 1, got 3 and 1",
+    ),
+    ({"degeneracy": "A"}, "degeneracy: expected an object, got str"),
+    ({"degeneracy.b": _DROP}, "degeneracy: missing required key(s) 'b'"),
+    ({"degeneracy.c": "A"}, "degeneracy: unknown key(s) 'c'"),
+    ({"degeneracy.a": 1}, "degeneracy.a: expected a nonempty string, got 1"),
+    ({"degeneracy.b": "C"}, "degeneracy.b: 'C' is not a defined bundle name"),
+    (
+        {"degeneracy.a": "C", "degeneracy.b": "D"},
+        "degeneracy.a: 'C' is not a defined bundle name",
+    ),
+    ({"family": []}, "family: expected an object, got list"),
+    ({"family.base_genus": _DROP}, "family: missing required key(s) 'base_genus'"),
+    ({"family.extra": 0}, "family: unknown key(s) 'extra'"),
+    ({"family.fiber_genus": "2"}, "family.fiber_genus: expected an integer, got '2'"),
+    ({"family.fiber_genus": True}, "family.fiber_genus: expected an integer, got True"),
+    ({"family.base_genus": 2.0}, "family.base_genus: expected an integer, got 2.0"),
+    (
+        {"family.allow_low_genus": "yes"},
+        "family.allow_low_genus: expected true or false, got 'yes'",
+    ),
+    (
+        {"family.allow_low_genus": 1},
+        "family.allow_low_genus: expected true or false, got 1",
+    ),
+    ({"base_change": []}, "base_change: expected an object, got list"),
+    ({"base_change.extra": 1}, "base_change: unknown key(s) 'extra'"),
+    (
+        {"base_change.base_lambda": _DROP, "base_change.a12": _DROP},
+        "base_change: missing required key(s) 'a12', 'base_lambda'",
+    ),
+    (
+        {"base_change.base_delta_rest": 5},
+        "base_change.base_delta_rest: expected a list of rationals",
+    ),
+    ({"base_change.notes": "x"}, "base_change.notes: expected a list of strings"),
+    ({"base_change.notes": [1]}, "base_change.notes: expected a nonempty string, got 1"),
+    ({"base_change.m1": "14"}, "base_change.m1: expected an integer, got '14'"),
+    ({"base_change.a12": True}, "base_change.a12: expected an integer, got True"),
+    ({"base_change.g_a2": None}, "base_change.g_a2: expected an integer, got None"),
+    (
+        {"base_change.base_lambda": "x"},
+        "base_change.base_lambda: expected an integer or 'p/q' string, got 'x'",
+    ),
+    (
+        {"base_change.base_delta0": "1/0"},
+        "base_change.base_delta0: expected an integer or 'p/q' string, got '1/0'",
+    ),
+    (
+        {"base_change.base_delta_rest": [1, 1.5]},
+        "base_change.base_delta_rest: expected an integer or 'p/q' string, got 1.5",
+    ),
+    (
+        {"base_change.m1": 0},
+        "base_change: multisection degrees must be at least 1, got m1=0, m2=14",
+    ),
+    ({"base_change.a12": -1}, "base_change: A1.A2 must be nonnegative, got -1"),
+    ({"notes": "x"}, "notes: expected a list of strings"),
+    ({"notes": ["ok", ""]}, "notes: expected a nonempty string, got ''"),
+    ({"notes": [3]}, "notes: expected a nonempty string, got 3"),
+    # Checks fire in document order: names, space, bundle syntax, degeneracy,
+    # family, base_change, notes, then total dimension, resolution and ranks.
+    ({"name": 1, "space": []}, "name: expected a nonempty string, got 1"),
+    (
+        {"space": [1, 2], "bundles.B": "O(0,0"},
+        "bundles.B: unexpected end of expression in 'O(0,0'",
+    ),
+    (
+        {"space": [1, 2], "bundles.B": "O(1,1)^3"},
+        "space: the degeneracy pipeline needs total dimension 4, got 3",
+    ),
+    ({"bundles.B": "O(1,1)^3", "notes": [3]}, "notes: expected a nonempty string, got 3"),
+    ({"base_change.m1": "14", "notes": 1}, "base_change.m1: expected an integer, got '14'"),
+    (
+        {"base_change.m2": "x", "base_change.m1": "y"},
+        "base_change.m1: expected an integer, got 'y'",
+    ),
+]
+
+# Texts that fail before the schema, each with its error less the file's prefix.
+LOAD_TEXT_ERRORS = [
+    (
+        '{"name": 1.5}',
+        "floating-point literal '1.5' is not allowed; use an integer or a 'p/q' string",
+    ),
+    (
+        '{"name": NaN}',
+        "floating-point literal 'NaN' is not allowed; use an integer or a 'p/q' string",
+    ),
+    (
+        '{"name": -Infinity}',
+        "floating-point literal '-Infinity' is not allowed; use an integer or a 'p/q' "
+        "string",
+    ),
+    (
+        "{not json",
+        "not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    ("", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[" * 100000, "not valid JSON: arrays or objects nested too deeply"),
+    (
+        '{"name": ' + "1" * 5000 + "}",
+        "not valid JSON: Exceeds the limit (4300 digits) for integer string "
+        "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+        "to increase the limit",
+    ),
+]
+
+
+def _load_error(load) -> str:
+    with pytest.raises(ScenarioError) as excinfo:
+        load()
+    return str(excinfo.value)
+
+
+def test_load_error_messages(tmp_path):
+    expected, got = [], []
+    for edits, message in LOAD_ERRORS:
+        expected.append(f"bad.json: {message}")
+        got.append(_load_error(lambda: parse_scenario_data(_edited(edits), "bad.json")))
+    path = tmp_path / "bad.json"
+    for text, message in LOAD_TEXT_ERRORS:
+        path.write_text(text)
+        expected.append(f"{path}: {message}")
+        got.append(_load_error(lambda: load_scenario(path)))
+    assert got == expected
+
+
+_JSON_VALUES = st.sampled_from(
+    [None, True, False, 0, -1, 2, 4, "", "x", "1/2", "1/0", "A", "O(1,0)", [], [1, 3], {}]
+).map(copy.deepcopy)
+_KEYS = st.sampled_from(["extra", "notes", "allow_low_genus", "base_delta_rest", "a", "C"])
+
+
+def _slots(data) -> list:
+    """Every (container, key) pair of a decoded JSON document."""
+    slots, stack = [], [data]
+    while stack:
+        container = stack.pop()
+        keys = list(container) if isinstance(container, dict) else range(len(container))
+        for key in keys:
+            slots.append((container, key))
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])
+    return slots
+
+
+@st.composite
+def mutated_documents(draw):
+    """full_data() with one to four keys dropped, values retyped or keys added."""
+    data = full_data()
+    for _ in range(draw(st.integers(1, 4))):
+        slots = _slots(data)
+        if not slots:
+            break
+        container, key = slots[draw(st.integers(0, len(slots) - 1))]
+        action = draw(st.sampled_from(["drop", "retype", "add"]))
+        if action == "drop":
+            del container[key]
+        elif action == "retype":
+            container[key] = draw(_JSON_VALUES)
+        elif isinstance(container, dict):
+            container[draw(_KEYS)] = draw(_JSON_VALUES)
+        else:
+            container.append(draw(_JSON_VALUES))
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_fail_only_with_one_source_prefix(data):
+    try:
+        parse_scenario_data(data, "SRC")
+    except ScenarioError as exc:
+        message = str(exc)
+        assert message.startswith("SRC: ")
+        assert message.count("SRC: ") == 1
