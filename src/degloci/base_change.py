@@ -83,9 +83,14 @@ class BaseChangeParams:
 
 @dataclass(frozen=True)
 class PullbackSlope:
-    """Pulled-back divisor degrees and the resulting slope."""
+    """Pulled-back divisor degrees and the resulting slope.
+
+    ``delta0_correction`` is ``beta_delta0_correction(params)``, the part of
+    ``delta0_B`` added by the blow-ups.
+    """
 
     lambda_B: Fraction
+    delta0_correction: Fraction
     delta0_B: Fraction
     delta1_B: Fraction
     delta_rest_B: tuple[Fraction, ...]
@@ -132,12 +137,14 @@ def pullback_slope(params: BaseChangeParams) -> PullbackSlope:
         )
     mm = params.m1 * params.m2
     lambda_B = mm * params.base_lambda
-    delta0_B = mm * params.base_delta0 + beta_delta0_correction(params)
+    correction = beta_delta0_correction(params)
+    delta0_B = mm * params.base_delta0 + correction
     delta1_B = Fraction(params.A12)
     delta_rest_B = tuple(beta_delta_j(params, d) for d in params.base_delta_rest)
     slope = (delta0_B + delta1_B + sum(delta_rest_B, Fraction(0))) / lambda_B
     return PullbackSlope(
         lambda_B=lambda_B,
+        delta0_correction=correction,
         delta0_B=delta0_B,
         delta1_B=delta1_B,
         delta_rest_B=delta_rest_B,

@@ -18,10 +18,11 @@ published versions of these formulas: the c_3 coefficient in c_1(Z)^2 is
 are exposed; the superseded variants are deliberately not provided.
 
 ``double_point_check`` recomputes c_2(Z) by a double-point style
-rearrangement of the same data.  It is not an independent route: it shares
-c(B - A) with the formulas above, and its difference from c_2(Z) vanishes
-identically once c(B - A) = c(B) / c(A).  So it catches slips in the ring
-arithmetic, but not an error in either formula.
+rearrangement of the numbers ``virtual_chern_numbers`` returned: it adds a
+correction built from their c(B - A) to their c_1(Z)^2.  It is not an
+independent route: it shares c(B - A) with the formulas above, and its
+difference from c_2(Z) vanishes identically once c(B - A) = c(B) / c(A).  So
+it catches slips in the ring arithmetic, but not an error in either formula.
 """
 
 from __future__ import annotations
@@ -127,15 +128,18 @@ def virtual_chern_numbers(inp: DegeneracyInput) -> VirtualChernNumbers:
     )
 
 
-def double_point_check(inp: DegeneracyInput) -> Fraction:
+def double_point_check(
+    inp: DegeneracyInput, numbers: VirtualChernNumbers
+) -> Fraction:
     """Recompute c_2(Z) by a rearrangement of the same data.
 
-    Returns c_1(Z)^2 + int[ -((c_1(M) - c_1) c_1(M) c_2 - c_1(M) c_3)
-    + c_2(M) c_2 - c_2^2 ].  Callers compare the result against
-    ``virtual_chern_numbers(inp).c2``; both share c(B - A), so they agree
-    identically and a mismatch shows a ring slip, never a wrong formula.
+    ``numbers`` is ``virtual_chern_numbers(inp)``, which the caller already
+    has.  Returns c_1(Z)^2 + int[ -((c_1(M) - c_1) c_1(M) c_2 - c_1(M) c_3)
+    + c_2(M) c_2 - c_2^2 ], with c_1(Z)^2 and c_i = c_i(B - A) read from
+    ``numbers``.  Callers compare the result against ``numbers.c2``; both
+    share c(B - A), so they agree identically and a mismatch shows a ring
+    slip, never a wrong formula.
     """
-    numbers = virtual_chern_numbers(inp)
     c1 = chern(numbers.difference, 1)
     c2 = chern(numbers.difference, 2)
     c3 = chern(numbers.difference, 3)

@@ -17,6 +17,10 @@ are rejected everywhere so no value can silently lose exactness.  The
 ``base_change`` block carries the multisection data plus the base family's
 explicit lambda and delta degrees, which the runner cross-checks against the
 family stage of the same scenario before using them.
+
+Loading a scenario resolves its named bundles once, since the rank check
+needs them; the loaded ``Scenario`` carries the resolved classes, and
+``run_scenario`` reads them from it rather than resolving again.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from importlib import resources
@@ -33,7 +37,6 @@ from typing import NoReturn
 
 from .base_change import (
     BaseChangeParams,
-    beta_delta0_correction,
     pullback_slope,
     sigma_tilde_self_intersection,
 )
@@ -64,11 +67,17 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario, ready to run."""
+    """A validated scenario, ready to run.
+
+    ``bundles`` holds the class of each named bundle of ``bundle_exprs``, as
+    ``resolve_bundles`` evaluated it at load: each name after every name it
+    refers to.
+    """
 
     name: str
     space: ProductSpace
     bundle_exprs: tuple[tuple[str, Expression], ...]
+    bundles: tuple[tuple[str, BundleClass], ...]
     degeneracy_a: str
     degeneracy_b: str
     fiber_genus: int
@@ -184,10 +193,9 @@ def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
     """
     try:
         scenario = _read_document(data)
-        _validate(scenario)
+        return replace(scenario, bundles=_validate(scenario))
     except ScenarioError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
-    return scenario
 
 
 def _read_document(data) -> Scenario:
@@ -250,6 +258,7 @@ def _read_document(data) -> Scenario:
         name=name,
         space=space,
         bundle_exprs=tuple(bundle_exprs),
+        bundles=(),  # resolved by _validate
         degeneracy_a=a_name,
         degeneracy_b=b_name,
         fiber_genus=fiber_genus,
@@ -260,23 +269,32 @@ def _read_document(data) -> Scenario:
     )
 
 
-def _validate(scenario: Scenario):
-    """Check the cross-field invariants that need bundle resolution."""
+def _validate(scenario: Scenario) -> tuple[tuple[str, BundleClass], ...]:
+    """Check the cross-field invariants that need bundle resolution.
+
+    Returns the resolved bundles, in the order ``resolve_bundles`` evaluated
+    them.
+    """
+    # A dimension or rank in a message may exceed the int-string digit limit;
+    # _stage turns that ValueError into a ScenarioError.
     if scenario.space.total_dimension != 4:
-        _fail(
-            "space",
-            "the degeneracy pipeline needs total dimension 4, "
-            f"got {scenario.space.total_dimension}",
-        )
+        with _stage("space"):
+            _fail(
+                "space",
+                "the degeneracy pipeline needs total dimension 4, "
+                f"got {scenario.space.total_dimension}",
+            )
     env = resolve_bundles(scenario)
     A = env[scenario.degeneracy_a]
     B = env[scenario.degeneracy_b]
     if B.rank != A.rank + 1:
-        _fail(
-            "degeneracy",
-            f"rank of {scenario.degeneracy_b!r} must be "
-            f"rank of {scenario.degeneracy_a!r} plus 1, got {B.rank} and {A.rank}",
-        )
+        with _stage("degeneracy"):
+            _fail(
+                "degeneracy",
+                f"rank of {scenario.degeneracy_b!r} must be "
+                f"rank of {scenario.degeneracy_a!r} plus 1, got {B.rank} and {A.rank}",
+            )
+    return tuple(env.items())
 
 
 def load_scenario(path) -> Scenario:
@@ -358,9 +376,12 @@ def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
 def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     """Run the full pipeline and assemble the deterministic report.
 
+    The bundle pair comes from ``scenario.bundles``, resolved when the
+    scenario was loaded, and the degeneracy formulas are evaluated once.
     With ``check`` the report also carries the double-point cross-check of
-    c_2(Z) and, when a base-change block is present, the identity between the
-    delta_0 correction and the sum of section self-intersections.
+    c_2(Z), computed from those same numbers, and, when a base-change block
+    is present, the identity between the delta_0 correction and the sum of
+    section self-intersections.
     """
     entries = []
 
@@ -369,10 +390,9 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     entries.append(class_entry("c1(M)", tangent_c1))
     entries.append(class_entry("c2(M)", tangent_c2))
 
-    with _stage("bundles"):
-        env = resolve_bundles(scenario)
-        A = env[scenario.degeneracy_a]
-        B = env[scenario.degeneracy_b]
+    bundles = dict(scenario.bundles)
+    A = bundles[scenario.degeneracy_a]
+    B = bundles[scenario.degeneracy_b]
     entries.append(
         text_entry("degeneracy", f"{scenario.degeneracy_a} -> {scenario.degeneracy_b}")
     )
@@ -416,11 +436,10 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
                     f"stage's delta = {fam.delta}"
                 )
             sigma = tuple(sigma_tilde_self_intersection(params, ell) for ell in (1, 2))
-            correction = beta_delta0_correction(params)
             pb = pullback_slope(params)
         entries.append(rational_entry("sigma_tilde_1^2", sigma[0]))
         entries.append(rational_entry("sigma_tilde_2^2", sigma[1]))
-        entries.append(rational_entry("beta_delta0_correction", correction))
+        entries.append(rational_entry("beta_delta0_correction", pb.delta0_correction))
         entries.append(rational_entry("lambda_B", pb.lambda_B))
         entries.append(rational_entry("delta0_B", pb.delta0_B))
         entries.append(rational_entry("delta1_B", pb.delta1_B))
@@ -430,12 +449,12 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
 
     if check:
         with _stage("check"):
-            dp = double_point_check(inp)
+            dp = double_point_check(inp, numbers)
         checks.append(
             CheckResult("double_point_c2", dp == numbers.c2, f"{dp} vs {numbers.c2}")
         )
         if scenario.base_change is not None:
-            rhs = sigma[0] + sigma[1]
+            correction, rhs = pb.delta0_correction, sigma[0] + sigma[1]
             checks.append(
                 CheckResult(
                     "beta_sigma_identity", correction == rhs, f"{correction} vs {rhs}"

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the property suites and unit tests."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -43,6 +44,19 @@ KERNEL_SPACES = PIPELINE_SPACES + (
     ProductSpace((6, 6)),
     ProductSpace((2, 2, 2, 2)),
 )
+
+def minimal_data(**overrides) -> dict:
+    """A small valid scenario document, with top-level keys replaced."""
+    data = {
+        "name": "small",
+        "space": [1, 3],
+        "bundles": {"A": "O(0,0)^1", "B": "sum(O(1,0), O(0,1))"},
+        "degeneracy": {"a": "A", "b": "B"},
+        "family": {"fiber_genus": 2, "base_genus": 0},
+    }
+    data.update(overrides)
+    return data
+
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12
@@ -268,3 +282,50 @@ expression_texts = st.one_of(
     st.text(alphabet="O(),^->0123456789 sumdualtwistkerE_\t$.", max_size=40),
     st.lists(st.sampled_from(_EXPRESSION_PIECES), max_size=30).map("".join),
 )
+
+
+# -- hostile scenario files -------------------------------------------------
+
+# Integer literals within and just beyond the 4300-digit int-string limit.
+_LONG_LITERALS = ["9" * 4299, "9" * 4300, "-" + "9" * 4300, "1" + "0" * 4299, "9" * 4301]
+
+
+@st.composite
+def hostile_scenario_texts(draw):
+    """The JSON text of minimal_data() with long literals and long name chains.
+
+    Up to two long literals go into a degree, a multiplicity, a twisting or
+    kernel degree, or a genus (written into the text unquoted, so a JSON
+    integer may exceed the limit too); then A or B may be routed through a
+    chain of up to 400 names.
+    """
+    data = minimal_data()
+    bundles = data["bundles"]
+    integers = {}
+    for _ in range(draw(st.integers(0, 2))):
+        literal = draw(st.sampled_from(_LONG_LITERALS))
+        place = draw(
+            st.sampled_from(["degree", "multiplicity", "twist", "ker", "genus"])
+        )
+        if place == "degree":
+            bundles["B"] = f"sum(O({literal},0), O(0,1))"
+        elif place == "multiplicity":
+            bundles[draw(st.sampled_from(["A", "B"]))] = f"sum(O(0,0)^{literal}, O(0,1))"
+        elif place == "twist":
+            bundles["B"] = f"twist(sum(O(1,0), O(0,1)), O(0,{literal}))"
+        elif place == "ker":
+            bundles["B"] = f"ker(sum(O(1,0)^2, O(0,1)) -> O({literal},1))"
+        else:
+            key = draw(st.sampled_from(["fiber_genus", "base_genus"]))
+            integers[f"@{key}@"] = literal
+            data["family"][key] = f"@{key}@"
+    links = draw(st.integers(0, 400))
+    if links:
+        target = draw(st.sampled_from(["A", "B"]))
+        bundles[f"N{links - 1}"] = bundles[target]
+        bundles.update({f"N{i}": f"N{i + 1}" for i in range(links - 1)})
+        bundles[target] = "N0"
+    text = json.dumps(data)
+    for placeholder, literal in integers.items():
+        text = text.replace(f'"{placeholder}"', literal)
+    return text

@@ -119,15 +119,19 @@ def test_criterion_5_oracle_equivalence():
         trivial_bundle(space),
         direct_sum(line_bundle(space, (1, 0)), line_bundle(space, (0, 1))),
     )
+    m15 = virtual_chern_numbers(m15_inp)
     small = virtual_chern_numbers(small_inp)
     checks = [
-        ("double_point_check(m15) = 336", double_point_check(m15_inp) == 336),
+        ("double_point_check(m15) = 336", double_point_check(m15_inp, m15) == 336),
         (
             "agrees with virtual_chern_numbers(m15).c2",
-            double_point_check(m15_inp) == virtual_chern_numbers(m15_inp).c2,
+            double_point_check(m15_inp, m15) == m15.c2,
         ),
         ("small instance c2 = 3 directly", small.c2 == 3),
-        ("small instance c2 = 3 via double point", double_point_check(small_inp) == 3),
+        (
+            "small instance c2 = 3 via double point",
+            double_point_check(small_inp, small) == 3,
+        ),
     ]
     _verdict(5, "double-point cross-check agrees on both anchored instances", checks)
 

@@ -79,6 +79,7 @@ def test_beta_delta_j():
 def test_pullback_slope_m16_values():
     pb = pullback_slope(m16_params())
     assert pb.lambda_B == 11760
+    assert pb.delta0_correction == beta_delta0_correction(m16_params()) == -6192
     assert pb.delta0_B == 70640
     assert pb.delta1_B == 16
     assert pb.delta_rest_B == ()

@@ -1,9 +1,20 @@
 """CLI behavior: flags, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
 
+import strategies as stg
+from degloci import (
+    ExpressionError,
+    InternalCheckError,
+    ScenarioError,
+    load_scenario,
+    run_scenario,
+)
 from degloci.cli import main
 
 
@@ -97,16 +108,8 @@ def test_overlong_integer_literal_exits_1(tmp_path, capsys):
 
 
 def _scenario_file(tmp_path, **overrides):
-    data = {
-        "name": "hostile",
-        "space": [1, 3],
-        "bundles": {"A": "O(0,0)^1", "B": "sum(O(1,0), O(0,1))"},
-        "degeneracy": {"a": "A", "b": "B"},
-        "family": {"fiber_genus": 2, "base_genus": 0},
-    }
-    data.update(overrides)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(stg.minimal_data(**overrides)))
     return str(path)
 
 
@@ -211,6 +214,30 @@ def test_overlong_integer_in_expression_exits_1(tmp_path, capsys, expression):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(stg.hostile_scenario_texts())
+def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(text)
+    try:
+        report = run_scenario(load_scenario(path), check=True)
+        expected = 0 if report.all_checks_passed else 2
+    except (ScenarioError, ExpressionError):
+        expected = 1
+    except InternalCheckError:
+        expected = 2
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--check"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == expected
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
 
 
 def test_deeply_nested_json_exits_1(tmp_path, capsys):

@@ -126,7 +126,7 @@ def test_virtual_chern_numbers_match_oracle(data):
     c1, c2 = ambient_tangent_of_product(space)
     inp = DegeneracyInput(space, c1, c2, A, B)
     numbers = virtual_chern_numbers(inp)
-    dp = double_point_check(inp)
+    dp = double_point_check(inp, numbers)
 
     cA = oracle.line_sum_total(a_summands)
     cB = oracle.line_sum_total(b_summands)
