@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .chow import ChowElement, ProductSpace, _one_plus_linear_power
 from .errors import RankError, SpaceMismatchError
+from .exact import message_text
 
 
 @dataclass(frozen=True)
@@ -110,15 +111,17 @@ def twist(E: BundleClass, L: BundleClass) -> BundleClass:
     """
     _check_same_space(E, L)
     if L.rank != 1:
-        raise RankError(f"twisting requires a rank-1 bundle, got rank {L.rank}")
+        raise RankError(
+            f"twisting requires a rank-1 bundle, got rank {message_text(L.rank)}"
+        )
     if not L.total_chern._vanishes_above(1):  # its degree-0 part is 1 already
         raise RankError(
             "twisting requires a line bundle, got a rank-1 class with total "
-            f"Chern class {L.total_chern}"
+            f"Chern class {message_text(L.total_chern)}"
         )
     if E.rank < 0:
         raise RankError(
-            f"cannot twist a virtual class of negative rank {E.rank}"
+            f"cannot twist a virtual class of negative rank {message_text(E.rank)}"
         )
     total = E.total_chern._twisted(L.total_chern, E.rank)
     return BundleClass(E.space, E.rank, total)
@@ -129,7 +132,8 @@ def kernel_from_sequence(middle: BundleClass, quotient: BundleClass) -> BundleCl
     _check_same_space(middle, quotient)
     if middle.rank < quotient.rank:
         raise RankError(
-            f"middle rank {middle.rank} is smaller than quotient rank {quotient.rank}"
+            f"middle rank {message_text(middle.rank)} is smaller than quotient "
+            f"rank {message_text(quotient.rank)}"
         )
     total = middle.total_chern._divided_by(quotient.total_chern)
     return BundleClass(middle.space, middle.rank - quotient.rank, total)
@@ -140,6 +144,11 @@ def virtual_difference(B: BundleClass, A: BundleClass) -> BundleClass:
     _check_same_space(B, A)
     total = B.total_chern._divided_by(A.total_chern)
     return BundleClass(B.space, B.rank - A.rank, total)
+
+
+def chern_classes(E: BundleClass) -> list[ChowElement]:
+    """[c_0(E), ..., c_top(E)], split from the total Chern class in one pass."""
+    return E.total_chern._graded_parts()
 
 
 def chern(E: BundleClass, i: int) -> ChowElement:

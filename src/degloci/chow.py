@@ -20,12 +20,19 @@ accumulates integer numerators over one lcm of the denominators and reduces
 once; ring operations build their results canonical directly and skip it.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
-H_1^{n_1} ... H_k^{n_k}.  Division by an element with constant term 1, which
-is what division of total Chern classes amounts to in this ring, is one
-triangular solve of q * y = x in index order: every partner of y_k in that
-equation has a smaller index.  ``invert_unit_series`` is that solve with
-x = 1.  Powers (1 + l)^r of a linear class, for any integer r, come from the
-binomial series in one pass over the monomials, and the twist sum
+H_1^{n_1} ... H_k^{n_k}, the last index N - 1.  Index i and index N - 1 - i
+are complementary monomials (their exponent vectors sum to (n_1, ..., n_k)),
+which is Poincare duality in this ring (Fulton, Intersection Theory), so
+the integral of a product x * y is the pairing ``_paired``, sum_i x_i
+y_{N-1-i}: one dot product, with no product class built.  ``_graded_parts``
+splits an element into all of its graded parts in one pass over its terms.
+
+Division by an element with constant term 1, which is what division of
+total Chern classes amounts to in this ring, is one triangular solve of
+q * y = x in index order: every partner of y_k in that equation has a
+smaller index.  ``invert_unit_series`` is that solve with x = 1.  Powers
+(1 + l)^r of a linear class, for any integer r, come from the binomial
+series in one pass over the monomials, and the twist sum
 sum_i c_i (1 + l)^{r - i} of Fulton, Intersection Theory, Ex. 3.2.2, is one
 product of c with the powers of l, weighted by a table of binomials.
 
@@ -38,6 +45,8 @@ is reduced by one gcd only when the denominator is not 1.
 >>> print((h1 + h2) * h2 ** 3)
 1*H1*H2^3
 >>> ((h1 + h2) ** 4).integrate()
+Fraction(4, 1)
+>>> (h1 + h2)._paired((h1 + h2) ** 3)
 Fraction(4, 1)
 >>> print((1 + h1 + h2) * (1 + h1 + h2).invert_unit_series())
 1
@@ -52,6 +61,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import factorial, gcd, lcm, prod
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -150,6 +160,8 @@ def _lowest(nums: list, den: int) -> tuple[list, int]:
 
 def _reduced(space: ProductSpace, nums: list, den: int) -> "ChowElement":
     """Wrap numerators over a positive denominator, bringing them to lowest terms."""
+    if den == 1:
+        return _make(space, nums, 1)
     return _make(space, *_lowest(nums, den))
 
 
@@ -291,6 +303,11 @@ class ChowElement:
         return _make(self._space, [-v for v in self._nums], self._den)
 
     def __sub__(self, other):
+        if isinstance(other, ChowElement) and self._den == other._den:
+            self._check_space(other)
+            return _reduced(
+                self._space, [a - b for a, b in zip(self._nums, other._nums)], self._den
+            )
         if not isinstance(other, ChowElement) and _scalar(other) is None:
             return NotImplemented
         return self + (-other)
@@ -369,6 +386,15 @@ class ChowElement:
             self._den,
         )
 
+    def _graded_parts(self) -> list["ChowElement"]:
+        """[graded_part(0), ..., graded_part(top)], from one pass over the terms."""
+        degrees = _table(self._space.dims).degrees
+        parts = [[0] * len(degrees) for _ in range(degrees[-1] + 1)]
+        for i, (v, d) in enumerate(zip(self._nums, degrees)):
+            if v:
+                parts[d][i] = v
+        return [_reduced(self._space, nums, self._den) for nums in parts]
+
     def _odd_negated(self) -> "ChowElement":
         """The image under every H_i -> -H_i: odd-degree terms change sign."""
         degrees = _table(self._space.dims).degrees
@@ -381,6 +407,19 @@ class ChowElement:
     def integrate(self) -> Fraction:
         """Degree map: the coefficient of H_1^{n_1} ... H_k^{n_k}."""
         return Fraction(self._nums[-1], self._den)
+
+    def _paired(self, other: "ChowElement") -> Fraction:
+        """The integral of self * other, as one dot product.
+
+        Index i and index N - 1 - i are complementary monomials, H^e and
+        H^{n - e}, whose product is the socle class, and no other pair of
+        monomials reaches it; so the socle coefficient of the product is
+        sum_i x_i y_{N-1-i}.
+        """
+        self._check_space(other)
+        return Fraction(
+            sum(map(mul, self._nums, reversed(other._nums))), self._den * other._den
+        )
 
     def invert_unit_series(self) -> "ChowElement":
         """Multiplicative inverse of an element with constant term 1."""
@@ -547,11 +586,10 @@ def _linear_powers(space: ProductSpace, coeffs, weights: list[int]) -> list[int]
     and each monomial belongs to one power of l, so one pass builds the sum.
     """
     table = _table(space.dims)
-    # prod_i coeffs[i]^{e_i}, built factor by factor in index order.
-    powers = [1]
-    for c, n in zip(coeffs, space.dims):
-        row = [c**e for e in range(n + 1)]
-        powers = [v * p for v in powers for p in row]
+    # prod_i coeffs[i]^{e_i}, in index order: itertools.product runs through
+    # the exponent vectors in the same lexicographic order as the monomials.
+    rows = [[c**e for e in range(n + 1)] for c, n in zip(coeffs, space.dims)]
+    powers = map(prod, product(*rows))
     return [
         v * m * weights[s] for v, m, s in zip(powers, table.multinomials, table.degrees)
     ]

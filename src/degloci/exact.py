@@ -5,11 +5,14 @@ are refused at every boundary so that no rounding can creep into a result.
 Decimal renderings are produced only at output time, from the exact value,
 in a decimal context of their own, so they do not depend on the calling
 thread's context (its precision, rounding, traps or exponent letter).
+Error messages show their numbers through ``message_text``, which cannot
+raise, so a refusal keeps its reason even for a number too long to print.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 
@@ -71,3 +74,16 @@ def decimal_text(q: Fraction, significant_digits: int = 6) -> str:
     ctx = _DECIMAL_CONTEXT.copy()
     ctx.prec = significant_digits
     return ctx.to_sci_string(ctx.divide(q.numerator, q.denominator))
+
+
+def message_text(value) -> str:
+    """``str(value)`` for an error message, or a note in its place when an
+    integer in it is beyond Python's int-to-string digit limit.
+
+    Formatting such an integer raises ``ValueError``, which would replace the
+    refusal the message was meant to report.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return f"(not shown: a number has more than {sys.get_int_max_str_digits()} digits)"

@@ -40,7 +40,7 @@ from .base_change import (
     pullback_slope,
     sigma_tilde_self_intersection,
 )
-from .bundles import BundleClass, chern
+from .bundles import BundleClass, chern_classes
 from .chow import ProductSpace
 from .degeneracy import (
     DegeneracyInput,
@@ -49,7 +49,7 @@ from .degeneracy import (
     virtual_chern_numbers,
 )
 from .errors import ExpressionError, InternalCheckError, ScenarioError
-from .exact import as_fraction
+from .exact import as_fraction, message_text
 from .expressions import (
     _KEYWORDS,
     Expression,
@@ -275,25 +275,22 @@ def _validate(scenario: Scenario) -> tuple[tuple[str, BundleClass], ...]:
     Returns the resolved bundles, in the order ``resolve_bundles`` evaluated
     them.
     """
-    # A dimension or rank in a message may exceed the int-string digit limit;
-    # _stage turns that ValueError into a ScenarioError.
     if scenario.space.total_dimension != 4:
-        with _stage("space"):
-            _fail(
-                "space",
-                "the degeneracy pipeline needs total dimension 4, "
-                f"got {scenario.space.total_dimension}",
-            )
+        _fail(
+            "space",
+            "the degeneracy pipeline needs total dimension 4, "
+            f"got {message_text(scenario.space.total_dimension)}",
+        )
     env = resolve_bundles(scenario)
     A = env[scenario.degeneracy_a]
     B = env[scenario.degeneracy_b]
     if B.rank != A.rank + 1:
-        with _stage("degeneracy"):
-            _fail(
-                "degeneracy",
-                f"rank of {scenario.degeneracy_b!r} must be "
-                f"rank of {scenario.degeneracy_a!r} plus 1, got {B.rank} and {A.rank}",
-            )
+        _fail(
+            "degeneracy",
+            f"rank of {scenario.degeneracy_b!r} must be "
+            f"rank of {scenario.degeneracy_a!r} plus 1, "
+            f"got {message_text(B.rank)} and {message_text(A.rank)}",
+        )
     return tuple(env.items())
 
 
@@ -402,8 +399,8 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     with _stage("degeneracy"):
         inp = DegeneracyInput(scenario.space, tangent_c1, tangent_c2, A, B)
         numbers = virtual_chern_numbers(inp)
-    for i in range(1, 5):
-        entries.append(class_entry(f"c{i}(B-A)", chern(numbers.difference, i)))
+    for i, part in enumerate(chern_classes(numbers.difference)[1:5], start=1):
+        entries.append(class_entry(f"c{i}(B-A)", part))
     entries.append(rational_entry("c1(Z)^2", numbers.c1_sq))
     entries.append(rational_entry("c2(Z)", numbers.c2))
 

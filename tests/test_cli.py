@@ -6,6 +6,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as stg
 from degloci import (
@@ -16,6 +17,7 @@ from degloci import (
     run_scenario,
 )
 from degloci.cli import main
+from degloci.report import RENDERERS
 
 
 def run_cli(capsys, *argv):
@@ -217,8 +219,10 @@ def test_overlong_integer_in_expression_exits_1(tmp_path, capsys, expression):
 
 
 @settings(max_examples=40, deadline=None)
-@given(stg.hostile_scenario_texts())
-def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(tmp_path_factory, text):
+@given(stg.hostile_scenario_texts(), st.sampled_from(sorted(RENDERERS)))
+def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(
+    tmp_path_factory, text, output_format
+):
     path = tmp_path_factory.getbasetemp() / "hostile.json"
     path.write_text(text)
     try:
@@ -231,7 +235,7 @@ def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(tmp_path_facto
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--config", str(path), "--check"])
+        code = main(["--config", str(path), "--check", "--format", output_format])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert code == expected

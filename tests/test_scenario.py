@@ -63,20 +63,6 @@ def test_missing_file():
         load_scenario("/no/such/scenario.json")
 
 
-def test_float_literals_rejected(tmp_path):
-    path = tmp_path / "floaty.json"
-    data = minimal_data()
-    data["family"]["fiber_genus"] = 2.0
-    path.write_text(json.dumps(data))
-    with pytest.raises(ScenarioError):
-        load_scenario(path)
-
-
-def test_degeneracy_names_must_be_defined():
-    with pytest.raises(ScenarioError, match="not a defined bundle name"):
-        parse_scenario_data(minimal_data(degeneracy={"a": "A", "b": "C"}))
-
-
 def test_bundle_name_rules():
     for keyword in sorted(_KEYWORDS):
         with pytest.raises(ScenarioError, match="not a usable bundle name"):
@@ -100,31 +86,12 @@ def test_reference_cycle_detected():
         )
 
 
-def test_unresolved_reference_in_expression():
-    data = minimal_data(bundles={"A": "O(0,0)^1", "B": "sum(C, O(0,1))"})
-    with pytest.raises(ScenarioError) as excinfo:
-        parse_scenario_data(data)
-    assert str(excinfo.value) == "<scenario>: bundles.B: undefined bundle name 'C'"
-
-
 def test_long_chain_of_names_resolves():
     bundles = {f"N{i}": f"N{i + 1}" for i in range(400)}
     bundles.update(N400="O(0,0)", A="N0", B="sum(N0, O(0,1))")
     env = resolve_bundles(parse_scenario_data(minimal_data(bundles=bundles)))
     assert env["N0"].rank == env["A"].rank == 1
     assert env["B"].rank == 2
-
-
-def test_syntax_error_reported_before_space_checks():
-    data = minimal_data(space=[1, 2], bundles={"A": "O(0,0", "B": "O(1,0)^2"})
-    with pytest.raises(ScenarioError, match="bundles.A: unexpected end of expression"):
-        parse_scenario_data(data)
-
-
-def test_rank_mismatch_rejected():
-    data = minimal_data(bundles={"A": "O(0,0)^1", "B": "O(1,1)^3"})
-    with pytest.raises(ScenarioError, match="rank"):
-        parse_scenario_data(data)
 
 
 def test_base_change_block_validation():
@@ -336,10 +303,8 @@ def _edited(edits) -> object:
     return data
 
 
-_INT_STR_LIMIT = (
-    "Exceeds the limit (4300 digits) for integer string conversion; "
-    "use sys.set_int_max_str_digits() to increase the limit"
-)
+_NINES = "9" * 4300  # the longest integer literal an expression accepts
+_NOT_SHOWN = "(not shown: a number has more than 4300 digits)"
 
 # Each document's error, less its "bad.json: " prefix, which it carries once.
 LOAD_ERRORS = [
@@ -401,12 +366,29 @@ LOAD_ERRORS = [
         {"bundles.B": "O(1,1)^3"},
         "degeneracy: rank of 'B' must be rank of 'A' plus 1, got 3 and 1",
     ),
-    # A dimension or rank beyond the int-string digit limit, in those messages.
+    # A number beyond the int-to-string digit limit in a refusal: the message
+    # still names the refusal.
     (
-        {"bundles.A": "sum(O(0,0)^" + "9" * 4300 + ", O(0,1))"},
-        "degeneracy: " + _INT_STR_LIMIT,
+        {"bundles.A": f"sum(O(0,0)^{_NINES}, O(0,1))"},
+        f"degeneracy: rank of 'B' must be rank of 'A' plus 1, got 2 and {_NOT_SHOWN}",
     ),
-    ({"space": [10**4300 - 1, 1]}, "space: " + _INT_STR_LIMIT),
+    (
+        {"space": [10**4300 - 1, 1]},
+        f"space: the degeneracy pipeline needs total dimension 4, got {_NOT_SHOWN}",
+    ),
+    (
+        {"bundles.B": f"twist(O(1,0)^2, sum(O(0,0)^{_NINES}, O(0,0)^{_NINES}))"},
+        f"bundles.B: twisting requires a rank-1 bundle, got rank {_NOT_SHOWN}",
+    ),
+    (
+        {"bundles.B": f"ker(O(0,0) -> sum(O(0,0)^{_NINES}, O(0,0)^{_NINES}))"},
+        f"bundles.B: middle rank 1 is smaller than quotient rank {_NOT_SHOWN}",
+    ),
+    (
+        {"bundles.B": f"twist(O(1,0)^2, ker(O(1,0)^2 -> O(0,{_NINES})))"},
+        "bundles.B: twisting requires a line bundle, got a rank-1 class with total "
+        f"Chern class {_NOT_SHOWN}",
+    ),
     ({"degeneracy": "A"}, "degeneracy: expected an object, got str"),
     ({"degeneracy.b": _DROP}, "degeneracy: missing required key(s) 'b'"),
     ({"degeneracy.c": "A"}, "degeneracy: unknown key(s) 'c'"),
