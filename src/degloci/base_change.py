@@ -27,15 +27,14 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SlopeUndefinedError
 from .exact import as_fraction
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BaseChangeParams:
+class BaseChangeParams(Record):
     """Numeric data of the two multisections and of the original family.
 
     ``base_lambda``, ``base_delta0`` and ``base_delta_rest`` are the degrees
@@ -43,33 +42,31 @@ class BaseChangeParams:
     (pre-base-change) family.
     """
 
-    m1: int
-    m2: int
-    g_A1: int
-    g_A2: int
-    A1_sq: int
-    A2_sq: int
-    A12: int
-    base_genus: int
-    base_lambda: Fraction
-    base_delta0: Fraction
-    base_delta_rest: tuple[Fraction, ...] = ()
+    __slots__ = (
+        "m1", "m2", "g_A1", "g_A2", "A1_sq", "A2_sq", "A12", "base_genus",
+        "base_lambda", "base_delta0", "base_delta_rest",
+    )
 
-    def __post_init__(self):
-        for name in ("m1", "m2", "g_A1", "g_A2", "A1_sq", "A2_sq", "A12", "base_genus"):
-            v = getattr(self, name)
+    def __init__(
+        self, m1: int, m2: int, g_A1: int, g_A2: int, A1_sq: int, A2_sq: int,
+        A12: int, base_genus: int, base_lambda: Fraction, base_delta0: Fraction,
+        base_delta_rest: tuple[Fraction, ...] = (),
+    ):
+        ints = (m1, m2, g_A1, g_A2, A1_sq, A2_sq, A12, base_genus)
+        for name, v in zip(self.__slots__, ints):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.m1 < 1 or self.m2 < 1:
+        if m1 < 1 or m2 < 1:
             raise ValueError(
-                f"multisection degrees must be at least 1, got m1={self.m1}, m2={self.m2}"
+                f"multisection degrees must be at least 1, got m1={m1}, m2={m2}"
             )
-        if self.A12 < 0:
-            raise ValueError(f"A1.A2 must be nonnegative, got {self.A12}")
-        object.__setattr__(self, "base_lambda", as_fraction(self.base_lambda))
-        object.__setattr__(self, "base_delta0", as_fraction(self.base_delta0))
-        object.__setattr__(
-            self, "base_delta_rest", tuple(as_fraction(d) for d in self.base_delta_rest)
+        if A12 < 0:
+            raise ValueError(f"A1.A2 must be nonnegative, got {A12}")
+        self._fill(
+            *ints,
+            as_fraction(base_lambda),
+            as_fraction(base_delta0),
+            tuple(as_fraction(d) for d in base_delta_rest),
         )
 
     def _side(self, ell: int) -> tuple[int, int, int, int]:
@@ -81,20 +78,22 @@ class BaseChangeParams:
         raise ValueError(f"multisection index must be 1 or 2, got {ell!r}")
 
 
-@dataclass(frozen=True)
-class PullbackSlope:
+class PullbackSlope(Record):
     """Pulled-back divisor degrees and the resulting slope.
 
     ``delta0_correction`` is ``beta_delta0_correction(params)``, the part of
     ``delta0_B`` added by the blow-ups.
     """
 
-    lambda_B: Fraction
-    delta0_correction: Fraction
-    delta0_B: Fraction
-    delta1_B: Fraction
-    delta_rest_B: tuple[Fraction, ...]
-    slope: Fraction
+    __slots__ = (
+        "lambda_B", "delta0_correction", "delta0_B", "delta1_B", "delta_rest_B", "slope"
+    )
+
+    def __init__(
+        self, lambda_B: Fraction, delta0_correction: Fraction, delta0_B: Fraction,
+        delta1_B: Fraction, delta_rest_B: tuple[Fraction, ...], slope: Fraction,
+    ):
+        self._fill(lambda_B, delta0_correction, delta0_B, delta1_B, delta_rest_B, slope)
 
 
 def relative_omega_degree(params: BaseChangeParams, ell: int) -> Fraction:

@@ -23,38 +23,36 @@ and a kernel or difference is one division; none takes repeated products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import ChowElement, ProductSpace, _one_plus_linear_power
 from .errors import RankError, SpaceMismatchError
 from .exact import message_text
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(Record):
     """A vector bundle or virtual class: rank plus total Chern class.
 
     The rank may be negative for virtual differences.  The degree-0 part of
     ``total_chern`` must be 1.
     """
 
-    space: ProductSpace
-    rank: int
-    total_chern: ChowElement
+    __slots__ = ("space", "rank", "total_chern")
 
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise TypeError(f"rank must be an integer, got {self.rank!r}")
-        total = self.total_chern
-        if total.space is not self.space and total.space != self.space:
+    def __init__(self, space: ProductSpace, rank: int, total_chern: ChowElement):
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise TypeError(f"rank must be an integer, got {rank!r}")
+        if total_chern.space is not space and total_chern.space != space:
             raise SpaceMismatchError(
                 "total Chern class lives on a different space than the bundle"
             )
-        if total._nums[0] != total._den:  # the degree-0 part, in the dense form
+        if total_chern._nums[0] != total_chern._den:  # the degree-0 part, densely
             raise ValueError(
                 "total Chern class must have degree-0 part 1, got "
-                f"{total.constant_term()}"
+                f"{total_chern.constant_term()}"
             )
+        _set(self, "space", space)
+        _set(self, "rank", rank)
+        _set(self, "total_chern", total_chern)
 
 
 def _check_same_space(E: BundleClass, F: BundleClass):
@@ -78,7 +76,8 @@ def line_bundle(
             raise ValueError(f"twisting degrees must be integers, got {a!r}")
     if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity <= 0:
         raise ValueError(
-            f"multiplicity must be a positive integer, got {multiplicity!r}"
+            "multiplicity must be a positive integer, got "
+            f"{message_text(multiplicity, repr)}"
         )
     total = _one_plus_linear_power(space, degrees, multiplicity)
     return BundleClass(space, multiplicity, total)

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -67,22 +66,31 @@ from typing import Iterable, Mapping
 
 from .errors import NonUnitError, SpaceMismatchError
 from .exact import as_fraction
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(Record):
     """A product of projective spaces P^{n_1} x ... x P^{n_k}."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        dims = tuple(self.dims)
+    def __init__(self, dims: tuple[int, ...]):
+        dims = tuple(dims)
         if not dims:
             raise ValueError("a product space needs at least one projective factor")
         for n in dims:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ValueError(f"factor dimensions must be positive integers, got {n!r}")
-        object.__setattr__(self, "dims", dims)
+        _set(self, "dims", dims)
+
+    # Spaces are compared on every bundle operation: compare dims directly.
+    def __eq__(self, other):
+        if other.__class__ is not ProductSpace:
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
 
     @property
     def num_factors(self) -> int:
@@ -136,7 +144,6 @@ _table = cache(_Table)
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _make(space: ProductSpace, nums: list, den: int) -> "ChowElement":
@@ -526,8 +533,8 @@ class ChowElement:
     def __repr__(self):
         return f"<ChowElement {self} on {self._space}>"
 
-    _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)((?:\*H\d+(?:\^\d+)?)*)$")
-    _FACTOR_RE = re.compile(r"\*H(\d+)(?:\^(\d+))?")
+    _TERM_RE = r"^(-?\d+(?:/\d+)?)((?:\*H\d+(?:\^\d+)?)*)$"
+    _FACTOR_RE = r"\*H(\d+)(?:\^(\d+))?"
 
     @classmethod
     def from_text(cls, space: ProductSpace, text: str) -> "ChowElement":
@@ -542,12 +549,12 @@ class ChowElement:
         terms: dict[tuple[int, ...], Fraction] = {}
         for raw in s.split("+"):
             part = raw.strip().replace(" ", "")
-            m = cls._TERM_RE.match(part)
+            m = re.match(cls._TERM_RE, part)
             if not m:
                 raise ValueError(f"cannot parse term {part!r}")
             coeff = Fraction(m.group(1))
             exps = [0] * space.num_factors
-            for fm in cls._FACTOR_RE.finditer(m.group(2)):
+            for fm in re.finditer(cls._FACTOR_RE, m.group(2)):
                 i = int(fm.group(1))
                 if not 1 <= i <= space.num_factors:
                     raise ValueError(

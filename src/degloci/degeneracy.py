@@ -48,7 +48,6 @@ in either formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
@@ -57,44 +56,46 @@ from .bundles import BundleClass, chern, chern_classes, virtual_difference
 from .chow import ChowElement, ProductSpace, _make, _table
 from .errors import InternalCheckError, RankError, SpaceMismatchError
 from .exact import message_text
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DegeneracyInput:
+class DegeneracyInput(Record):
     """Ambient tangent data and the bundle pair (A, B) with rank B = rank A + 1."""
 
-    space: ProductSpace
-    tangent_c1: ChowElement
-    tangent_c2: ChowElement
-    A: BundleClass
-    B: BundleClass
+    __slots__ = ("space", "tangent_c1", "tangent_c2", "A", "B")
 
-    def __post_init__(self):
-        if self.space.total_dimension != 4:
+    def __init__(
+        self, space: ProductSpace, tangent_c1: ChowElement, tangent_c2: ChowElement,
+        A: BundleClass, B: BundleClass,
+    ):
+        if space.total_dimension != 4:
             raise ValueError(
-                f"ambient space must have total dimension 4, got {self.space.total_dimension}"
+                "ambient space must have total dimension 4, got "
+                f"{message_text(space.total_dimension)}"
             )
-        for part in (self.tangent_c1, self.tangent_c2, self.A.total_chern, self.B.total_chern):
-            if part.space != self.space:
+        for part in (tangent_c1, tangent_c2, A.total_chern, B.total_chern):
+            if part.space != space:
                 raise SpaceMismatchError("all inputs must live on the ambient space")
-        if not self.tangent_c1.is_homogeneous(1):
+        if not tangent_c1.is_homogeneous(1):
             raise ValueError("tangent_c1 must be homogeneous of degree 1")
-        if not self.tangent_c2.is_homogeneous(2):
+        if not tangent_c2.is_homogeneous(2):
             raise ValueError("tangent_c2 must be homogeneous of degree 2")
-        if self.B.rank != self.A.rank + 1:
+        if B.rank != A.rank + 1:
             raise RankError(
-                f"rank B must be rank A + 1, got rank A = {self.A.rank}, rank B = {self.B.rank}"
+                f"rank B must be rank A + 1, got rank A = {message_text(A.rank)}, "
+                f"rank B = {message_text(B.rank)}"
             )
+        self._fill(space, tangent_c1, tangent_c2, A, B)
 
 
-@dataclass(frozen=True)
-class VirtualChernNumbers:
+class VirtualChernNumbers(Record):
     """The integrals c_1(Z)^2 and c_2(Z), and the virtual class B - A they
     were computed from."""
 
-    c1_sq: Fraction
-    c2: Fraction
-    difference: BundleClass
+    __slots__ = ("c1_sq", "c2", "difference")
+
+    def __init__(self, c1_sq: Fraction, c2: Fraction, difference: BundleClass):
+        self._fill(c1_sq, c2, difference)
 
 
 @cache

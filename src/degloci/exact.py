@@ -76,14 +76,15 @@ def decimal_text(q: Fraction, significant_digits: int = 6) -> str:
     return ctx.to_sci_string(ctx.divide(q.numerator, q.denominator))
 
 
-def message_text(value) -> str:
-    """``str(value)`` for an error message, or a note in its place when an
-    integer in it is beyond Python's int-to-string digit limit.
+def message_text(value, convert=str) -> str:
+    """``convert(value)`` (``str`` or ``repr``) for an error message, or a note
+    in its place when an integer in it is beyond Python's int-to-string digit
+    limit.
 
     Formatting such an integer raises ``ValueError``, which would replace the
     refusal the message was meant to report.
     """
     try:
-        return str(value)
+        return convert(value)
     except ValueError:
         return f"(not shown: a number has more than {sys.get_int_max_str_digits()} digits)"

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import bundles
 from .bundles import BundleClass
 from .chow import ProductSpace
 from .errors import ExpressionError
+from .record import Record, _set
 
 # One token after optional blanks.  Splitting a text on this pattern leaves
 # the tokens at odd indices; the pieces between them are empty or blanks
@@ -61,21 +61,27 @@ _KEYWORDS = frozenset({"O", *_OPERATORS})
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class LineBundleExpr:
-    degrees: tuple[int, ...]
-    multiplicity: int
+class LineBundleExpr(Record):
+    __slots__ = ("degrees", "multiplicity")
+
+    def __init__(self, degrees: tuple[int, ...], multiplicity: int):
+        _set(self, "degrees", degrees)
+        _set(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class NameRef:
-    name: str
+class NameRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Apply:
-    op: str
-    args: tuple["Expression", ...]
+class Apply(Record):
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple[Expression, ...]):
+        _set(self, "op", op)
+        _set(self, "args", args)
 
 
 Expression = Union[LineBundleExpr, NameRef, Apply]

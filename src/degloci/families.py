@@ -13,26 +13,26 @@ relation 12 lambda = kappa + delta holds by construction and is asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError
 from .exact import as_fraction
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FamilyInvariants:
+class FamilyInvariants(Record):
     """kappa, delta, lambda and slope of a family of curves.
 
     ``slope`` is None exactly when lambda vanishes.
     """
 
-    kappa: Fraction
-    delta: Fraction
-    lambda_: Fraction
-    slope: Fraction | None
-    fiber_genus: int
-    base_genus: int
+    __slots__ = ("kappa", "delta", "lambda_", "slope", "fiber_genus", "base_genus")
+
+    def __init__(
+        self, kappa: Fraction, delta: Fraction, lambda_: Fraction,
+        slope: Fraction | None, fiber_genus: int, base_genus: int,
+    ):
+        self._fill(kappa, delta, lambda_, slope, fiber_genus, base_genus)
 
 
 def invariants_from_chern_numbers(

@@ -18,38 +18,44 @@ left as it is.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .chow import ChowElement
 from .errors import ScenarioError
 from .exact import decimal_text
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(Record):
     """One labeled value; ``exact`` is None for an undefined rational."""
 
-    key: str
-    kind: str
-    exact: str | None
-    decimal: str | None = None
+    __slots__ = ("key", "kind", "exact", "decimal")
+
+    def __init__(self, key: str, kind: str, exact: str | None, decimal: str | None = None):
+        _set(self, "key", key)
+        _set(self, "kind", kind)
+        _set(self, "exact", exact)
+        _set(self, "decimal", decimal)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    key: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("key", "passed", "detail")
+
+    def __init__(self, key: str, passed: bool, detail: str):
+        _set(self, "key", key)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Report:
-    scenario: str
-    space: str
-    entries: tuple[ReportEntry, ...]
-    checks: tuple[CheckResult, ...] = ()
+class Report(Record):
+    __slots__ = ("scenario", "space", "entries", "checks")
+
+    def __init__(
+        self, scenario: str, space: str, entries: tuple[ReportEntry, ...],
+        checks: tuple[CheckResult, ...] = (),
+    ):
+        self._fill(scenario, space, entries, checks)
 
     @property
     def all_checks_passed(self) -> bool:

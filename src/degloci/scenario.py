@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from importlib import resources
@@ -58,6 +57,7 @@ from .expressions import (
     parse_expression,
 )
 from .families import invariants_from_chern_numbers
+from .record import Record
 from .report import CheckResult, Report, class_entry, rational_entry, text_entry
 
 BUNDLED_SCENARIOS = ("m15", "m16")
@@ -65,8 +65,7 @@ BUNDLED_SCENARIOS = ("m15", "m16")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A validated scenario, ready to run.
 
     ``bundles`` holds the class of each named bundle of ``bundle_exprs``, as
@@ -74,17 +73,23 @@ class Scenario:
     refers to.
     """
 
-    name: str
-    space: ProductSpace
-    bundle_exprs: tuple[tuple[str, Expression], ...]
-    bundles: tuple[tuple[str, BundleClass], ...]
-    degeneracy_a: str
-    degeneracy_b: str
-    fiber_genus: int
-    base_genus: int
-    allow_low_genus: bool
-    base_change: BaseChangeParams | None
-    notes: tuple[str, ...]
+    __slots__ = (
+        "name", "space", "bundle_exprs", "bundles", "degeneracy_a", "degeneracy_b",
+        "fiber_genus", "base_genus", "allow_low_genus", "base_change", "notes",
+    )
+
+    def __init__(
+        self, name: str, space: ProductSpace,
+        bundle_exprs: tuple[tuple[str, Expression], ...],
+        bundles: tuple[tuple[str, BundleClass], ...],
+        degeneracy_a: str, degeneracy_b: str, fiber_genus: int, base_genus: int,
+        allow_low_genus: bool, base_change: BaseChangeParams | None,
+        notes: tuple[str, ...],
+    ):
+        self._fill(
+            name, space, bundle_exprs, bundles, degeneracy_a, degeneracy_b,
+            fiber_genus, base_genus, allow_low_genus, base_change, notes,
+        )
 
 
 # -- schema helpers ---------------------------------------------------------
@@ -193,7 +198,7 @@ def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
     """
     try:
         scenario = _read_document(data)
-        return replace(scenario, bundles=_validate(scenario))
+        return scenario._replace(bundles=_validate(scenario))
     except ScenarioError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
 

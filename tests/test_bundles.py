@@ -53,6 +53,14 @@ def test_line_bundle_validation():
         line_bundle(P13, (1,), 1)
     with pytest.raises(ValueError):
         line_bundle(P13, (1, 0), -2)
+    with pytest.raises(ValueError, match=r"got '2'$"):
+        line_bundle(P13, (1, 0), "2")
+    with pytest.raises(ValueError) as info:
+        line_bundle(P13, (0, 0), -(10**4300))
+    assert str(info.value) == (
+        "multiplicity must be a positive integer, got "
+        "(not shown: a number has more than 4300 digits)"
+    )
 
 
 def test_bundle_class_requires_unit_total_chern():

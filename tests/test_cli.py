@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as stg
+import degloci
 from degloci import (
     ExpressionError,
     InternalCheckError,
@@ -270,3 +274,18 @@ def test_byte_identical_across_runs(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_cold_start_imports_no_code_introspection_modules():
+    # dataclasses imports inspect, which imports ast, dis and tokenize; the
+    # CLI needs none of them, and on a fresh interpreter each one costs time.
+    src = str(Path(degloci.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import degloci.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
+        "& set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

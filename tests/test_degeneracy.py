@@ -155,6 +155,17 @@ def test_input_validation():
         DegeneracyInput(P13, c1, c1, A, trivial_bundle(P13, 5))
 
 
+def test_rank_refusal_survives_a_rank_too_long_to_print():
+    c1, c2 = ambient_tangent_of_product(P13)
+    A = line_bundle(P13, (0, 0), 10**4300)
+    with pytest.raises(RankError) as info:
+        DegeneracyInput(P13, c1, c2, A, line_bundle(P13, (0, 0), 4))
+    assert str(info.value) == (
+        "rank B must be rank A + 1, got rank A = (not shown: a number has more "
+        "than 4300 digits), rank B = 4"
+    )
+
+
 def test_nonsense_tangent_data_trips_internal_check():
     # A tangent c2 of the wrong degree is caught at input validation; a
     # multiplier with a term above degree 2 cannot be assembled through the

@@ -1,7 +1,6 @@
 """Scenario schema validation, bundled scenarios, and the pipeline runner."""
 
 import copy
-import dataclasses
 import gc
 import json
 from collections import Counter
@@ -202,8 +201,8 @@ def test_an_item_resolves_and_evaluates_the_formulas_once(monkeypatch, name):
 @pytest.mark.parametrize(
     "perturb",
     [
-        lambda numbers: dataclasses.replace(numbers, c1_sq=numbers.c1_sq + 1),
-        lambda numbers: dataclasses.replace(numbers, difference=dual(numbers.difference)),
+        lambda numbers: numbers._replace(c1_sq=numbers.c1_sq + 1),
+        lambda numbers: numbers._replace(difference=dual(numbers.difference)),
     ],
     ids=["c1_sq", "difference"],
 )
