@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SlopeUndefinedError
-from .exact import as_fraction
+from .exact import as_fraction, message_text
 from .record import Record
 
 
@@ -55,13 +55,14 @@ class BaseChangeParams(Record):
         ints = (m1, m2, g_A1, g_A2, A1_sq, A2_sq, A12, base_genus)
         for name, v in zip(self.__slots__, ints):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+                raise ValueError(f"{name} must be an integer, got {message_text(v, repr)}")
         if m1 < 1 or m2 < 1:
             raise ValueError(
-                f"multisection degrees must be at least 1, got m1={m1}, m2={m2}"
+                "multisection degrees must be at least 1, "
+                f"got m1={message_text(m1)}, m2={message_text(m2)}"
             )
         if A12 < 0:
-            raise ValueError(f"A1.A2 must be nonnegative, got {A12}")
+            raise ValueError(f"A1.A2 must be nonnegative, got {message_text(A12)}")
         self._fill(
             *ints,
             as_fraction(base_lambda),
@@ -75,7 +76,7 @@ class BaseChangeParams(Record):
             return self.m1, self.g_A1, self.A1_sq, self.m2
         if ell == 2:
             return self.m2, self.g_A2, self.A2_sq, self.m1
-        raise ValueError(f"multisection index must be 1 or 2, got {ell!r}")
+        raise ValueError(f"multisection index must be 1 or 2, got {message_text(ell, repr)}")
 
 
 class PullbackSlope(Record):

@@ -65,7 +65,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NonUnitError, SpaceMismatchError
-from .exact import as_fraction
+from .exact import as_fraction, message_text
 from .record import Record, _set
 
 
@@ -80,7 +80,10 @@ class ProductSpace(Record):
             raise ValueError("a product space needs at least one projective factor")
         for n in dims:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValueError(f"factor dimensions must be positive integers, got {n!r}")
+                raise ValueError(
+                    "factor dimensions must be positive integers, "
+                    f"got {message_text(n, repr)}"
+                )
         _set(self, "dims", dims)
 
     # Spaces are compared on every bundle operation: compare dims directly.
@@ -226,6 +229,11 @@ class ChowElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
+
+    # Copies and pickles rebuild through _make: the default slot-state restore
+    # would call the __setattr__ above.
+    def __reduce__(self):
+        return _make, (self._space, self._nums, self._den)
 
     # -- constructors ------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalCheckError
-from .exact import as_fraction
+from .exact import as_fraction, message_text
 from .record import Record
 
 
@@ -49,9 +49,13 @@ def invariants_from_chern_numbers(
     the slope story is only meaningful for stable fibers.
     """
     if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-        raise ValueError(f"fiber genus must be a nonnegative integer, got {g!r}")
+        raise ValueError(
+            f"fiber genus must be a nonnegative integer, got {message_text(g, repr)}"
+        )
     if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-        raise ValueError(f"base genus must be a nonnegative integer, got {q!r}")
+        raise ValueError(
+            f"base genus must be a nonnegative integer, got {message_text(q, repr)}"
+        )
     if g < 2 and not allow_low_genus:
         raise ValueError(
             f"fiber genus {g} is below 2; pass allow_low_genus=True to accept it"

@@ -142,21 +142,25 @@ def _as_list(value, where: str, what: str, *, nonempty: bool = False) -> list:
     return value
 
 
+def _refuse(value, where: str, expected: str) -> NoReturn:
+    _fail(where, f"expected {expected}, got {message_text(value, repr)}")
+
+
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str) or not value.strip():
-        _fail(where, f"expected a nonempty string, got {value!r}")
+        _refuse(value, where, "a nonempty string")
     return value
 
 
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"expected an integer, got {value!r}")
+        _refuse(value, where, "an integer")
     return value
 
 
 def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
-        _fail(where, f"expected true or false, got {value!r}")
+        _refuse(value, where, "true or false")
     return value
 
 
@@ -164,7 +168,7 @@ def _as_rational(value, where: str) -> Fraction:
     try:
         return as_fraction(value)
     except (TypeError, ValueError):
-        _fail(where, f"expected an integer or 'p/q' string, got {value!r}")
+        _refuse(value, where, "an integer or 'p/q' string")
 
 
 def _notes_list(value, where: str) -> tuple[str, ...]:

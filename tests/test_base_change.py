@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import properties
 from degloci import (
     BaseChangeParams,
     SlopeUndefinedError,
@@ -121,14 +120,3 @@ def test_params_validation():
         m16_params(g_A1="105")
     with pytest.raises(TypeError):
         m16_params(base_lambda=60.0)
-
-
-# -- randomized suites (shared with the acceptance gate) ---------------------
-
-
-def test_beta_sigma_identity():
-    properties.beta_sigma_identity()
-
-
-def test_index_swap_symmetry():
-    properties.index_swap_symmetry()

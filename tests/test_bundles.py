@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import properties
 from degloci import (
     BundleClass,
     ChowElement,
@@ -175,14 +174,3 @@ def test_virtual_difference_defining_identity():
     B = direct_sum(line_bundle(P13, (0, 1), 2), line_bundle(P13, (-1, 2)))
     diff = virtual_difference(B, A)
     assert diff.total_chern * A.total_chern == B.total_chern
-
-
-# -- randomized suites (shared with the acceptance gate) ---------------------
-
-
-def test_whitney_cancellation():
-    properties.whitney_cancellation()
-
-
-def test_twist_sequence_commutation():
-    properties.twist_sequence_commutation()

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import properties
 from strategies import KERNEL_SPACES, chow_elements, spaces
 from degloci import (
     ChowElement,
@@ -203,22 +202,3 @@ def test_graded_parts_split_the_element(x):
     assert sum(parts, ChowElement.zero(x.space)) == x
     for d, part in enumerate(parts):
         assert part == x.graded_part(d)
-
-
-# -- randomized suites (shared with the acceptance gate) ---------------------
-
-
-def test_ring_axioms():
-    properties.ring_axioms()
-
-
-def test_truncation_idempotence():
-    properties.truncation_idempotence()
-
-
-def test_mul_invert_is_one():
-    properties.mul_invert_is_one()
-
-
-def test_dense_kernel_matches_naive():
-    properties.dense_kernel_matches_naive()

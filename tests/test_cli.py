@@ -1,4 +1,8 @@
-"""CLI behavior: flags, formats, exit codes, determinism."""
+"""CLI behavior: flags, exit codes and hostile files.
+
+Each format's output is pinned by ``test_golden``, and each load error's
+message and exit code by the catalogue in ``test_scenario``.
+"""
 
 import contextlib
 import io
@@ -30,43 +34,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_m15_exact_output(capsys):
-    code, out, err = run_cli(capsys, "--scenario", "m15")
-    assert code == 0
-    assert err == ""
-    assert "c1(Z)^2 = 216" in out
-    assert "c2(Z) = 336" in out
-    assert "kappa = 328" in out
-    assert "delta = 392" in out
-    assert "lambda = 60" in out
-    assert "slope = 98/15" in out
-
-
 def test_m16_exact_output_with_check(capsys):
     code, out, err = run_cli(capsys, "--scenario", "m16", "--check")
     assert code == 0
-    assert "sigma_tilde_1^2 = -3096" in out
-    assert "sigma_tilde_2^2 = -3096" in out
-    assert "lambda_B = 11760" in out
-    assert "delta1_B = 16" in out
-    assert "slope_B = 1472/245" in out
-    assert "check double_point_c2 = pass" in out
-    assert "check beta_sigma_identity = pass" in out
-
-
-def test_decimal_format(capsys):
-    code, out, _ = run_cli(capsys, "--scenario", "m16", "--format", "decimal")
-    assert code == 0
-    assert "slope = 6.53333" in out
-    assert "slope_B = 6.00816" in out
-
-
-def test_json_format(capsys):
-    code, out, _ = run_cli(capsys, "--scenario", "m15", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["scenario"] == "m15"
-    assert doc["values"]["slope"]["exact"] == "98/15"
+    assert err == ""
+    golden = (Path(__file__).parent / "golden" / "m16.exact.txt").read_text(encoding="utf-8")
+    assert out == golden + (
+        "check double_point_c2 = pass (336 vs 336)\n"
+        "check beta_sigma_identity = pass (-6192 vs -6192)\n"
+    )
 
 
 def test_config_file(tmp_path, capsys):
@@ -95,100 +71,10 @@ def test_missing_config_exits_1(capsys):
     assert "error:" in err
 
 
-def test_bad_scenario_data_exits_1(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text('{"name": "bad"}')
-    code, _, err = run_cli(capsys, "--config", str(path))
-    assert code == 1
-    assert "missing required key" in err
-
-
-def test_overlong_integer_literal_exits_1(tmp_path, capsys):
-    path = tmp_path / "long.json"
-    path.write_text('{"family": {"fiber_genus": ' + "1" * 5000 + "}}")
-    code, out, err = run_cli(capsys, "--config", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "Traceback" not in err
-
-
 def _scenario_file(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(stg.minimal_data(**overrides)))
     return str(path)
-
-
-def test_twist_by_rank_one_kernel_exits_1(tmp_path, capsys):
-    path = _scenario_file(
-        tmp_path,
-        bundles={"A": "O(0,0)^1", "B": "sum(O(0,0), twist(O(1,0), ker(O(0,0)^2 -> O(0,1))))"},
-    )
-    code, out, err = run_cli(capsys, "--config", path)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "line bundle" in err
-
-
-def test_deeply_nested_expression_exits_1(tmp_path, capsys):
-    deep = "dual(" * 3000 + "O(1,0)" + ")" * 3000
-    path = _scenario_file(
-        tmp_path, bundles={"A": "O(0,0)^1", "B": f"sum(O(0,1), {deep})"}
-    )
-    code, out, err = run_cli(capsys, "--config", path)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "nested deeper than" in err
-    assert "Traceback" not in err
-
-
-def test_resolution_error_carries_the_file_prefix(tmp_path, capsys):
-    path = _scenario_file(tmp_path, bundles={"A": "O(0,0)^1", "B": "sum(C, O(0,1))"})
-    code, out, err = run_cli(capsys, "--config", path)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {path}: bundles.B: undefined bundle name 'C'\n"
-
-
-BASE_CHANGE = {
-    "m1": 14,
-    "m2": 14,
-    "g_a1": 105,
-    "g_a2": 105,
-    "a1_sq": 16,
-    "a2_sq": 16,
-    "a12": 16,
-    "base_lambda": 60,
-    "base_delta0": 392,
-}
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        (
-            {"base_change": {**BASE_CHANGE, "m1": "14"}},
-            "base_change.m1: expected an integer, got '14'",
-        ),
-        ({"space": [1, "3"]}, "space: expected an integer, got '3'"),
-        (
-            {"family": {"fiber_genus": 15.0, "base_genus": 0}},
-            "floating-point literal '15.0' is not allowed; "
-            "use an integer or a 'p/q' string",
-        ),
-    ],
-    ids=["base_change", "space", "float"],
-)
-def test_load_error_names_the_file_once(tmp_path, capsys, overrides, message):
-    path = _scenario_file(tmp_path, **overrides)
-    code, out, err = run_cli(capsys, "--config", path)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {path}: {message}\n"
-    assert err.count(path) == 1
-    assert "Traceback" not in err
 
 
 def test_report_number_beyond_digit_limit_exits_1(tmp_path, capsys):
@@ -205,20 +91,6 @@ def test_report_number_beyond_digit_limit_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: report: c2(B-A): a number has more than 4300 digits")
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "expression",
-    ["O(" + "1" * 5001 + ",0)^2", "O(1,0)^" + "1" * 5001],
-    ids=["degree", "multiplicity"],
-)
-def test_overlong_integer_in_expression_exits_1(tmp_path, capsys, expression):
-    path = _scenario_file(tmp_path, bundles={"A": "O(0,0)^1", "B": expression})
-    code, out, err = run_cli(capsys, "--config", path)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
     assert "Traceback" not in err
 
 
@@ -248,32 +120,12 @@ def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(
         assert err.getvalue().startswith("error: ")
 
 
-def test_deeply_nested_json_exits_1(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100000)
-    code, out, err = run_cli(capsys, "--config", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "nested too deeply" in err
-    assert "Traceback" not in err
-
-
 def test_usage_errors_exit_1(capsys):
     for argv in ([], ["--scenario", "m99"], ["--scenario", "m15", "--format", "csv"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 1
         capsys.readouterr()
-
-
-def test_byte_identical_across_runs(capsys):
-    outputs = []
-    for _ in range(2):
-        code, out, _ = run_cli(capsys, "--scenario", "m16", "--format", "exact")
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
 
 
 def test_cold_start_imports_no_code_introspection_modules():

@@ -1,11 +1,20 @@
-"""Scalar coercion and rendering."""
+"""Scalar coercion and rendering, and refusals whose number is too long to print."""
 
 from decimal import ROUND_DOWN, DefaultContext, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
 
-from degloci import as_fraction, decimal_text
+from degloci import (
+    BaseChangeParams,
+    ProductSpace,
+    as_fraction,
+    decimal_text,
+    invariants_from_chern_numbers,
+)
+
+_NOT_SHOWN = "(not shown: a number has more than 4300 digits)"
+_BIG = 10**4300  # one digit beyond the int-to-string limit
 
 
 def test_as_fraction_accepts_int_fraction_and_string():
@@ -64,3 +73,41 @@ def test_decimal_text_ignores_the_callers_context():
             assert decimal_text(q) == text
     finally:
         DefaultContext.rounding, DefaultContext.capitals, DefaultContext.traps = saved
+
+
+def _params(**changes):
+    return BaseChangeParams(1, 1, 0, 0, 0, 0, 0, 0, 1, 1)._replace(**changes)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (
+            lambda: ProductSpace((-_BIG,)),
+            f"factor dimensions must be positive integers, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: _params(m1=-_BIG),
+            f"multisection degrees must be at least 1, got m1={_NOT_SHOWN}, m2=1",
+        ),
+        (lambda: _params(m2=[_BIG]), f"m2 must be an integer, got {_NOT_SHOWN}"),
+        (lambda: _params(A12=-_BIG), f"A1.A2 must be nonnegative, got {_NOT_SHOWN}"),
+        (
+            lambda: _params()._side(10 * _BIG),
+            f"multisection index must be 1 or 2, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: invariants_from_chern_numbers(0, 0, -_BIG, 0),
+            f"fiber genus must be a nonnegative integer, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: invariants_from_chern_numbers(0, 0, 2, -_BIG),
+            f"base genus must be a nonnegative integer, got {_NOT_SHOWN}",
+        ),
+    ],
+    ids=["dims", "m1", "m2", "A12", "ell", "g", "q"],
+)
+def test_refusal_survives_a_number_too_long_to_print(refused, message):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == message

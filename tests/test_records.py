@@ -1,7 +1,8 @@
-"""The package's value classes: equality, hashing, immutability, repr and
-``_replace``, one parametrized case per class."""
+"""The package's value classes: equality, hashing, immutability, copies and
+pickles, repr and ``_replace``, one parametrized case per class."""
 
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -115,7 +116,8 @@ def test_record(name):
     twin = build()
     assert value == twin and value is not twin
     assert hash(value) == hash(twin)
-    assert copy.copy(value) == value
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert clone(value) == value
     changed = value._replace(**change)
     assert changed != value
     assert changed._replace(**{k: getattr(value, k) for k in change}) == value

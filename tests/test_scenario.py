@@ -17,11 +17,10 @@ from degloci import (
     dual,
     load_bundled_scenario,
     load_scenario,
-    render_exact,
-    render_json,
     resolve_bundles,
     run_scenario,
 )
+from degloci.cli import main
 from degloci.expressions import _KEYWORDS
 from degloci.scenario import parse_scenario_data
 from strategies import minimal_data
@@ -121,38 +120,6 @@ def test_resolve_bundles_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_run_m15_report_values():
-    report = run_scenario(load_bundled_scenario("m15"))
-    assert report.scenario == "m15"
-    assert report.space == "P^1 x P^3"
-    assert report.value("c1(M)") == "2*H1 + 4*H2"
-    assert report.value("c2(M)") == "8*H1*H2 + 6*H2^2"
-    assert report.value("c1(B-A)") == "4*H1 + 5*H2"
-    assert report.value("c2(B-A)") == "16*H1*H2 + 14*H2^2"
-    assert report.value("c1(Z)^2") == "216"
-    assert report.value("c2(Z)") == "336"
-    assert report.value("kappa") == "328"
-    assert report.value("delta") == "392"
-    assert report.value("lambda") == "60"
-    assert report.value("slope") == "98/15"
-    assert report.checks == ()
-    with pytest.raises(KeyError):
-        report.value("sigma_tilde_1^2")
-
-
-def test_run_m16_report_values():
-    report = run_scenario(load_bundled_scenario("m16"), check=True)
-    assert report.value("sigma_tilde_1^2") == "-3096"
-    assert report.value("sigma_tilde_2^2") == "-3096"
-    assert report.value("beta_delta0_correction") == "-6192"
-    assert report.value("lambda_B") == "11760"
-    assert report.value("delta0_B") == "70640"
-    assert report.value("delta1_B") == "16"
-    assert report.value("slope_B") == "1472/245"
-    assert report.all_checks_passed
-    assert {c.key for c in report.checks} == {"double_point_c2", "beta_sigma_identity"}
 
 
 # Loaders of one bundled and one generated-style scenario: named bundles that
@@ -260,23 +227,9 @@ def test_low_genus_needs_acknowledgment():
     report = run_scenario(eased)
     assert report.value("c1(Z)^2") == "9"
     assert report.value("c2(Z)") == "3"
-
-
-def test_determinism_two_fresh_runs():
-    for name in ("m15", "m16"):
-        first = run_scenario(load_bundled_scenario(name), check=True)
-        second = run_scenario(load_bundled_scenario(name), check=True)
-        assert render_exact(first) == render_exact(second)
-        assert render_json(first) == render_json(second)
-        assert first == second
-
-
-def test_report_renderings_are_parseable():
-    report = run_scenario(load_bundled_scenario("m16"))
-    doc = json.loads(render_json(report))
-    assert doc["values"]["slope_B"]["exact"] == "1472/245"
-    assert doc["values"]["slope_B"]["decimal"] == "6.00816"
-    assert doc["values"]["c2(M)"] == {"kind": "class", "exact": "8*H1*H2 + 6*H2^2"}
+    # Without a base_change block, the report holds no base-change entries.
+    with pytest.raises(KeyError):
+        report.value("sigma_tilde_1^2")
 
 
 _DROP = object()
@@ -304,6 +257,7 @@ def _edited(edits) -> object:
 
 _NINES = "9" * 4300  # the longest integer literal an expression accepts
 _NOT_SHOWN = "(not shown: a number has more than 4300 digits)"
+_DEEP = "dual(" * 3000 + "O(1,0)" + ")" * 3000
 
 # Each document's error, less its "bad.json: " prefix, which it carries once.
 LOAD_ERRORS = [
@@ -315,11 +269,16 @@ LOAD_ERRORS = [
     ({"space": _DROP, "name": _DROP}, "missing required key(s) 'name', 'space'"),
     ({"name": 1}, "name: expected a nonempty string, got 1"),
     ({"name": "  "}, "name: expected a nonempty string, got '  '"),
+    ({"name": 10**4301}, f"name: expected a nonempty string, got {_NOT_SHOWN}"),
     ({"space": "1,3"}, "space: expected a nonempty list of dimensions"),
     ({"space": []}, "space: expected a nonempty list of dimensions"),
     ({"space": [1, "3"]}, "space: expected an integer, got '3'"),
     ({"space": [True, 3]}, "space: expected an integer, got True"),
     ({"space": [0, 4]}, "space: factor dimensions must be positive integers, got 0"),
+    (
+        {"space": [-(10**4300), 4]},
+        f"space: factor dimensions must be positive integers, got {_NOT_SHOWN}",
+    ),
     ({"space": [1, 2]}, "space: the degeneracy pipeline needs total dimension 4, got 3"),
     ({"space": [2, 3]}, "space: the degeneracy pipeline needs total dimension 4, got 5"),
     ({"bundles": []}, "bundles: expected an object, got list"),
@@ -343,6 +302,18 @@ LOAD_ERRORS = [
         {"bundles.B": "O(1,0) $"},
         "bundles.B: unexpected character '$' at position 6 in 'O(1,0) $'",
     ),
+    (
+        {"bundles.B": f"sum(O(0,1), {_DEEP})"},
+        "bundles.B: expression nested deeper than 100 levels at position 507",
+    ),
+    (
+        {"bundles.B": "O(" + "1" * 5001 + ",0)^2"},
+        "bundles.B: integer literal at position 2 has more than 4300 digits",
+    ),
+    (
+        {"bundles.B": "O(1,0)^" + "1" * 5001},
+        "bundles.B: integer literal at position 7 has more than 4300 digits",
+    ),
     ({"bundles.B": "sum(C, O(0,1))"}, "bundles.B: undefined bundle name 'C'"),
     (
         {"bundles.A": "sum(B, O(0,0))", "bundles.B": "sum(A, O(0,0))"},
@@ -360,6 +331,11 @@ LOAD_ERRORS = [
     (
         {"bundles.B": "twist(sum(O(1,0), O(0,1)), O(0,0)^2)"},
         "bundles.B: twisting requires a rank-1 bundle, got rank 2",
+    ),
+    (
+        {"bundles.B": "sum(O(0,0), twist(O(1,0), ker(O(0,0)^2 -> O(0,1))))"},
+        "bundles.B: twisting requires a line bundle, got a rank-1 class with total "
+        "Chern class -1*H2^3 + 1*H2^2 + -1*H2 + 1",
     ),
     (
         {"bundles.B": "O(1,1)^3"},
@@ -402,6 +378,10 @@ LOAD_ERRORS = [
     ({"family.extra": 0}, "family: unknown key(s) 'extra'"),
     ({"family.fiber_genus": "2"}, "family.fiber_genus: expected an integer, got '2'"),
     ({"family.fiber_genus": True}, "family.fiber_genus: expected an integer, got True"),
+    (
+        {"family.fiber_genus": [10**4300]},
+        f"family.fiber_genus: expected an integer, got {_NOT_SHOWN}",
+    ),
     ({"family.base_genus": 2.0}, "family.base_genus: expected an integer, got 2.0"),
     (
         {"family.allow_low_genus": "yes"},
@@ -410,6 +390,10 @@ LOAD_ERRORS = [
     (
         {"family.allow_low_genus": 1},
         "family.allow_low_genus: expected true or false, got 1",
+    ),
+    (
+        {"family.allow_low_genus": 10**4301},
+        f"family.allow_low_genus: expected true or false, got {_NOT_SHOWN}",
     ),
     ({"base_change": []}, "base_change: expected an object, got list"),
     ({"base_change.extra": 1}, "base_change: unknown key(s) 'extra'"),
@@ -443,10 +427,22 @@ LOAD_ERRORS = [
         "base_change.base_delta_rest: expected an integer or 'p/q' string, got 1.5",
     ),
     (
+        {"base_change.base_lambda": [10**4300]},
+        f"base_change.base_lambda: expected an integer or 'p/q' string, got {_NOT_SHOWN}",
+    ),
+    (
         {"base_change.m1": 0},
         "base_change: multisection degrees must be at least 1, got m1=0, m2=14",
     ),
+    (
+        {"base_change.m2": -(10**4300)},
+        f"base_change: multisection degrees must be at least 1, got m1=14, m2={_NOT_SHOWN}",
+    ),
     ({"base_change.a12": -1}, "base_change: A1.A2 must be nonnegative, got -1"),
+    (
+        {"base_change.a12": -(10**4300)},
+        f"base_change: A1.A2 must be nonnegative, got {_NOT_SHOWN}",
+    ),
     ({"notes": "x"}, "notes: expected a list of strings"),
     ({"notes": ["ok", ""]}, "notes: expected a nonempty string, got ''"),
     ({"notes": [3]}, "notes: expected a nonempty string, got 3"),
@@ -527,8 +523,43 @@ def test_load_error_messages(tmp_path):
     assert got == expected
 
 
+def _holds_float(node) -> bool:
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return any(map(_holds_float, node))
+    return isinstance(node, float)
+
+
+def test_cli_prints_each_load_error_once_and_exits_1(tmp_path, capsys):
+    """Every catalogued load error through ``cli.main``: exit 1, nothing on
+    stdout, and on stderr ``error: `` and the path once before the message.
+
+    A document holding a float, or an integer too long to write, is left
+    out: as a file, the JSON loader refuses it before the schema sees it.
+    """
+    cases = list(LOAD_TEXT_ERRORS)
+    for edits, message in LOAD_ERRORS:
+        data = _edited(edits)
+        if not _holds_float(data):
+            try:
+                cases.append((json.dumps(data), message))
+            except ValueError:  # an integer beyond the int-to-string digit limit
+                pass
+    path = tmp_path / "bad.json"
+    expected, got = [], []
+    for text, message in cases:
+        path.write_text(text)
+        expected.append((1, "", f"error: {path}: {message}\n"))
+        code = main(["--config", str(path)])
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    assert got == expected
+
+
 _JSON_VALUES = st.sampled_from(
-    [None, True, False, 0, -1, 2, 4, "", "x", "1/2", "1/0", "A", "O(1,0)", [], [1, 3], {}]
+    [None, True, False, 0, -1, 2, 4, 10**4300, -(10**4301), "", "x", "1/2", "1/0", "A",
+     "O(1,0)", [], [1, 3], {}]
 ).map(copy.deepcopy)
 _KEYS = st.sampled_from(["extra", "notes", "allow_low_genus", "base_delta_rest", "a", "C"])
 
