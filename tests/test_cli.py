@@ -1,7 +1,7 @@
 """CLI behavior: flags, exit codes and hostile files.
 
-Each format's output is pinned by ``test_golden``, and each load error's
-message and exit code by the catalogue in ``test_scenario``.
+Each format's output is pinned by ``test_golden``; each load error that the
+catalogue in ``test_scenario`` lists runs through the CLI here.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ from degloci import (
 )
 from degloci.cli import main
 from degloci.report import RENDERERS
+from test_scenario import LOAD_ERRORS, LOAD_TEXT_ERRORS, _edited
 
 
 def run_cli(capsys, *argv):
@@ -71,10 +72,84 @@ def test_missing_config_exits_1(capsys):
     assert "error:" in err
 
 
+def _holds_float(node) -> bool:
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return any(map(_holds_float, node))
+    return isinstance(node, float)
+
+
+def test_bad_scenario_data_exits_1(tmp_path, capsys):
+    """Every load error catalogued in ``test_scenario`` through ``cli.main``:
+    exit 1, nothing on stdout, and on stderr ``error: `` and the path once
+    before the message.
+
+    A document holding a float, or an integer too long to write, is left
+    out: as a file, the JSON loader refuses it before the schema sees it.
+    """
+    cases = list(LOAD_TEXT_ERRORS)
+    for edits, message in LOAD_ERRORS:
+        data = _edited(edits)
+        if not _holds_float(data):
+            try:
+                cases.append((json.dumps(data), message))
+            except ValueError:  # an integer beyond the int-to-string digit limit
+                pass
+    path = tmp_path / "bad.json"
+    expected, got = [], []
+    for text, message in cases:
+        path.write_text(text)
+        expected.append((1, "", f"error: {path}: {message}\n"))
+        code = main(["--config", str(path)])
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    assert got == expected
+
+
 def _scenario_file(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(stg.minimal_data(**overrides)))
     return str(path)
+
+
+BASE_CHANGE = {
+    "m1": 14,
+    "m2": 14,
+    "g_a1": 105,
+    "g_a2": 105,
+    "a1_sq": 16,
+    "a2_sq": 16,
+    "a12": 16,
+    "base_lambda": 60,
+    "base_delta0": 392,
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"base_change": {**BASE_CHANGE, "m1": "14"}},
+            "base_change.m1: expected an integer, got '14'",
+        ),
+        ({"space": [1, "3"]}, "space: expected an integer, got '3'"),
+        (
+            {"family": {"fiber_genus": 15.0, "base_genus": 0}},
+            "floating-point literal '15.0' is not allowed; "
+            "use an integer or a 'p/q' string",
+        ),
+    ],
+    ids=["base_change", "space", "float"],
+)
+def test_load_error_names_the_file_once(tmp_path, capsys, overrides, message):
+    path = _scenario_file(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "--config", path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+    assert err.count(path) == 1
+    assert "Traceback" not in err
 
 
 def test_report_number_beyond_digit_limit_exits_1(tmp_path, capsys):

@@ -28,11 +28,14 @@ def test_bundled_report_matches_golden(name, fmt, filename):
     assert rendered == golden
 
 
-@pytest.mark.parametrize("name,fmt,filename", CASES)
-def test_cli_output_matches_golden(capsys, name, fmt, filename):
+def test_cli_output_matches_golden(capsys):
     from degloci.cli import main
 
-    assert main(["--scenario", name, "--format", fmt]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out == (GOLDEN_DIR / filename).read_text(encoding="utf-8")
+    expected, got = [], []
+    for name, fmt, filename in CASES:
+        golden = (GOLDEN_DIR / filename).read_text(encoding="utf-8")
+        expected.append((name, fmt, 0, "", golden))
+        code = main(["--scenario", name, "--format", fmt])
+        captured = capsys.readouterr()
+        got.append((name, fmt, code, captured.err, captured.out))
+    assert got == expected

@@ -20,7 +20,6 @@ from degloci import (
     resolve_bundles,
     run_scenario,
 )
-from degloci.cli import main
 from degloci.expressions import _KEYWORDS
 from degloci.scenario import parse_scenario_data
 from strategies import minimal_data
@@ -520,40 +519,6 @@ def test_load_error_messages(tmp_path):
         path.write_text(text)
         expected.append(f"{path}: {message}")
         got.append(_load_error(lambda: load_scenario(path)))
-    assert got == expected
-
-
-def _holds_float(node) -> bool:
-    if isinstance(node, dict):
-        node = list(node.values())
-    if isinstance(node, list):
-        return any(map(_holds_float, node))
-    return isinstance(node, float)
-
-
-def test_cli_prints_each_load_error_once_and_exits_1(tmp_path, capsys):
-    """Every catalogued load error through ``cli.main``: exit 1, nothing on
-    stdout, and on stderr ``error: `` and the path once before the message.
-
-    A document holding a float, or an integer too long to write, is left
-    out: as a file, the JSON loader refuses it before the schema sees it.
-    """
-    cases = list(LOAD_TEXT_ERRORS)
-    for edits, message in LOAD_ERRORS:
-        data = _edited(edits)
-        if not _holds_float(data):
-            try:
-                cases.append((json.dumps(data), message))
-            except ValueError:  # an integer beyond the int-to-string digit limit
-                pass
-    path = tmp_path / "bad.json"
-    expected, got = [], []
-    for text, message in cases:
-        path.write_text(text)
-        expected.append((1, "", f"error: {path}: {message}\n"))
-        code = main(["--config", str(path)])
-        captured = capsys.readouterr()
-        got.append((code, captured.out, captured.err))
     assert got == expected
 
 
