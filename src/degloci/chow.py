@@ -15,9 +15,12 @@ of the process: for each monomial, the monomials whose product with it stays
 inside the truncation, in ascending index order.  With lexicographic
 (mixed-radix) indexing, such a product has index i + j, so a product visits
 only those pairs and does integer multiply-adds; squaring visits each
-unordered pair once.  The public constructor validates outside input,
-accumulates integer numerators over one lcm of the denominators and reduces
-once; ring operations build their results canonical directly and skip it.
+unordered pair once, from the table's lists of partners of larger index.  The
+public constructor checks an exponent vector in full only when its lookup
+misses or holds a non-int, reads int and Fraction coefficients as integer
+ratios, accumulates integer numerators over one lcm of the denominators and
+reduces once; ring operations build their results canonical directly and
+skip it.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
 H_1^{n_1} ... H_k^{n_k}, the last index N - 1.  Index i and index N - 1 - i
@@ -55,7 +58,7 @@ Fraction(4, 1)
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -111,7 +114,8 @@ class _Table:
     """The monomial basis of one space and its multiplication pattern."""
 
     __slots__ = (
-        "monomials", "index", "degrees", "multinomials", "partners", "linear", "labels"
+        "monomials", "index", "degrees", "multinomials", "partners", "squares", "above",
+        "linear", "labels",
     )
 
     def __init__(self, dims: tuple[int, ...]):
@@ -134,6 +138,9 @@ class _Table:
             [sum(p) for p in product(*(per[e] for per, e in zip(offsets, m)))]
             for m in self.monomials
         ]
+        # For squaring: whether i pairs with itself, and its partners j > i.
+        self.squares = [i in row for i, row in enumerate(self.partners)]
+        self.above = [row[bisect_right(row, i):] for i, row in enumerate(self.partners)]
         # The indices of H_1, ..., H_k: the strides of the mixed radix.
         self.linear = [offsets[i][0][1] for i in range(len(dims))]
         # The text of each monomial after its coefficient: "", "*H1", "*H1*H2^3".
@@ -175,6 +182,22 @@ def _reduced(space: ProductSpace, nums: list, den: int) -> "ChowElement":
     return _make(space, *_lowest(nums, den))
 
 
+def _check_exponents(exps: tuple, k: int):
+    """Refuse an exponent vector of the wrong length or with a bad entry."""
+    if len(exps) != k:
+        raise ValueError(
+            f"exponent vector {message_text(exps)} has length {len(exps)}, expected {k}"
+        )
+    for e in exps:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(
+                f"exponents must be nonnegative integers, got {message_text(e, repr)}"
+            )
+
+
+_INT = frozenset({int})
+
+
 def _scalar(value) -> tuple[int, int] | None:
     """(numerator, denominator) of an int or Fraction; None for anything else."""
     if isinstance(value, int):
@@ -201,26 +224,25 @@ class ChowElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         k = space.num_factors
         index = _table(space.dims).index
-        where: list[int] = []
-        coeffs: list[Fraction] = []
+        where, ps, qs = [], [], []
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != k:
-                raise ValueError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {k}"
-                )
-            for e in exps:
-                if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                    raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
-            c = as_fraction(coeff)
-            i = index.get(exps)
+            # (1.0, 0) and (True, 0) equal (1, 0), so only all-int tuples skip the check.
+            i = index.get(exps) if _INT.issuperset(map(type, exps)) else None
+            if i is None:
+                _check_exponents(exps, k)
+                i = index.get(exps)
+            t = type(coeff)
+            c = coeff if t is int or t is Fraction else as_fraction(coeff)
+            p, q = c.as_integer_ratio()
             if i is not None:
                 where.append(i)
-                coeffs.append(c)
-        den = lcm(*[c.denominator for c in coeffs])
+                ps.append(p)
+                qs.append(q)
+        den = lcm(*qs)
         nums = [0] * len(index)
-        for i, c in zip(where, coeffs):
-            nums[i] += c.numerator * (den // c.denominator)
+        for i, p, q in zip(where, ps, qs):
+            nums[i] += p * (den // q)
         # Terms of one monomial can cancel, so the sums may share a factor with den.
         nums, den = _lowest(nums, den)
         _set(self, "_space", space)
@@ -371,18 +393,15 @@ class ChowElement:
 
     def _square(self) -> "ChowElement":
         """self * self, visiting each unordered pair of monomials once."""
-        partners = _table(self._space.dims).partners
+        table = _table(self._space.dims)
         xs = self._nums
         acc = [0] * len(xs)
-        for i, a in enumerate(xs):
+        for i, (a, square, above) in enumerate(zip(xs, table.squares, table.above)):
             if a:
-                row = partners[i]
-                start = bisect_left(row, i)  # the partners j >= i
-                if start < len(row) and row[start] == i:
+                if square:
                     acc[i + i] += a * a
-                    start += 1
                 twice = a + a
-                for j in row[start:]:
+                for j in above:
                     b = xs[j]
                     if b:
                         acc[i + j] += twice * b
@@ -560,7 +579,7 @@ class ChowElement:
             m = re.match(cls._TERM_RE, part)
             if not m:
                 raise ValueError(f"cannot parse term {part!r}")
-            coeff = Fraction(m.group(1))
+            coeff = as_fraction(m.group(1))
             exps = [0] * space.num_factors
             for fm in re.finditer(cls._FACTOR_RE, m.group(2)):
                 i = int(fm.group(1))

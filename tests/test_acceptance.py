@@ -74,7 +74,6 @@ def test_criterion_3_corrected_formula_identity():
 
 def test_criterion_4_geometric_degree_audit():
     from degloci import (
-        ChowElement,
         DegeneracyInput,
         ambient_tangent_of_product,
         degeneracy_class,

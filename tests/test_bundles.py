@@ -1,7 +1,5 @@
 """Bundle calculus: line bundles, sums, duals, twists, sequences, differences."""
 
-from fractions import Fraction
-
 import pytest
 
 from degloci import (

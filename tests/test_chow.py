@@ -1,6 +1,9 @@
 """Chow ring arithmetic: construction, truncation, serialization, integration."""
 
+import random
+from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +165,8 @@ def test_from_text_rejects_garbage():
         ChowElement.from_text(P13, "two*H1")
     with pytest.raises(ValueError):
         ChowElement.from_text(P13, "")
+    with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+        ChowElement.from_text(P13, "1/0*H1")
 
 
 def test_immutability_and_hash():
@@ -202,3 +207,61 @@ def test_graded_parts_split_the_element(x):
     assert sum(parts, ChowElement.zero(x.space)) == x
     for d, part in enumerate(parts):
         assert part == x.graded_part(d)
+
+
+_NOT_NONNEGATIVE = "exponents must be nonnegative integers, got "
+_NOT_RATIONAL = "cannot parse rational from 'x'; expected '<int>' or '<int>/<int>'"
+
+
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        # (1.0, 0) and (True, 0) equal (1, 0), so they would hit the index.
+        ({(1.0, 0): 1}, ValueError, _NOT_NONNEGATIVE + "1.0"),
+        ({(True, 0): 1}, ValueError, _NOT_NONNEGATIVE + "True"),
+        ({(1, 0, 0): 1}, ValueError, "exponent vector (1, 0, 0) has length 3, expected 2"),
+        ({(-1, 0): 1}, ValueError, _NOT_NONNEGATIVE + "-1"),
+        ([(([1], 0), 1)], ValueError, _NOT_NONNEGATIVE + "[1]"),
+        # A term outside the truncation still has its coefficient checked.
+        (
+            {(5, 0): 1.5},
+            TypeError,
+            "floating point value 1.5 refused; pass an int, Fraction, or 'p/q' string",
+        ),
+        ({(1, 0): True}, TypeError, "booleans are not rational scalars"),
+        ({(1, 0): Decimal(1)}, TypeError, "expected an exact rational, got Decimal"),
+        ({(1, 0): "1/0"}, ValueError, "zero denominator in '1/0'"),
+        # The first faulty term is the one reported.
+        ([((0, 1), "x"), ((1.0, 0), 1)], ValueError, _NOT_RATIONAL),
+        ([((1.0, 0), 1), ((0, 1), "x")], ValueError, _NOT_NONNEGATIVE + "1.0"),
+    ],
+)
+def test_constructor_refuses_bad_terms(terms, error, message):
+    with pytest.raises(error) as info:
+        ChowElement(P13, terms)
+    assert str(info.value) == message
+
+
+def test_constructor_edge_cases():
+    assert ChowElement(P13, {(1, 0): "1/2"}) == Fraction(1, 2) * H1
+    assert ChowElement(P13, {(5, 0): 1}).is_zero()
+    with pytest.raises(TypeError, match="^expected a ProductSpace, got tuple$"):
+        ChowElement((1, 3), {})
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES + (ProductSpace((1, 3, 7)),), ids=str)
+def test_dense_elements(space):
+    """Whole rows of the multiplication table, which the property suites never fill."""
+    rng = random.Random(f"dense {space.dims}")
+    monomials = list(product(*(range(n + 1) for n in space.dims)))
+    for _ in range(3):
+        terms = {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3, 4)))
+            for e in monomials
+        }
+        x = ChowElement(space, terms)
+        assert x.terms == terms
+        assert x._square() == x * x
+        assert x**3 == x * x * x
+        assert x**4 == x * x * x * x
+        assert ChowElement(space, dict(x.terms)) == x

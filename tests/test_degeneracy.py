@@ -1,8 +1,6 @@
 """Degeneracy-locus formulas: ambient tangent data, both virtual Chern
 numbers, the double-point cross-check, and the expected class."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

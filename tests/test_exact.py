@@ -7,6 +7,7 @@ import pytest
 
 from degloci import (
     BaseChangeParams,
+    ChowElement,
     ProductSpace,
     as_fraction,
     decimal_text,
@@ -104,8 +105,16 @@ def _params(**changes):
             lambda: invariants_from_chern_numbers(0, 0, 2, -_BIG),
             f"base genus must be a nonnegative integer, got {_NOT_SHOWN}",
         ),
+        (
+            lambda: ChowElement(ProductSpace((1, 3)), {(-_BIG, 0): 1}),
+            f"exponents must be nonnegative integers, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: ChowElement(ProductSpace((1, 3)), {(_BIG, 0, 0): 1}),
+            f"exponent vector {_NOT_SHOWN} has length 3, expected 2",
+        ),
     ],
-    ids=["dims", "m1", "m2", "A12", "ell", "g", "q"],
+    ids=["dims", "m1", "m2", "A12", "ell", "g", "q", "exponent", "exponent vector"],
 )
 def test_refusal_survives_a_number_too_long_to_print(refused, message):
     with pytest.raises(ValueError) as info:
