@@ -58,6 +58,7 @@ Fraction(4, 1)
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
@@ -568,17 +569,24 @@ class ChowElement:
         """Parse the canonical text form back into an element.
 
         Accepts exactly the shapes ``__str__`` emits (plus explicit ``^1``
-        exponents and flexible whitespace around ``+``).
+        exponents and flexible whitespace around ``+``).  A term holding a
+        number beyond Python's int-string conversion limit is refused by name.
         """
         s = text.strip()
         if s == "0":
             return cls.zero(space)
         terms: dict[tuple[int, ...], Fraction] = {}
+        limit = sys.get_int_max_str_digits()  # 0 when there is no limit
         for raw in s.split("+"):
             part = raw.strip().replace(" ", "")
             m = re.match(cls._TERM_RE, part)
             if not m:
                 raise ValueError(f"cannot parse term {part!r}")
+            if limit and any(len(run) > limit for run in re.findall(r"\d+", part)):
+                raise ValueError(
+                    f"cannot parse term {part!r}: a number in it has more than "
+                    f"{limit} digits"
+                )
             coeff = as_fraction(m.group(1))
             exps = [0] * space.num_factors
             for fm in re.finditer(cls._FACTOR_RE, m.group(2)):
@@ -591,6 +599,29 @@ class ChowElement:
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + coeff
         return cls(space, terms)
+
+
+@cache
+def _dual_indices(dims: tuple[int, ...]) -> tuple[list, list, list, list]:
+    """Where a class of degree at most 2 meets its complements, for pairings.
+
+    As in ``ChowElement._paired``, index N - 1 - i is the complement of i.
+    Returns the indices of H_1..H_k; the complement of each H_i; a triple
+    (i, j, complement of H_i H_j) for each ordered pair with H_i H_j != 0,
+    which leaves out H_i^2 on a factor P^1; and a pair (m, complement of m)
+    for each monomial m of degree 2.  Kept per space, apart from ``_Table``.
+    """
+    table = _table(dims)
+    top = len(table.monomials) - 1
+    lin = table.linear
+    pairs = [
+        (i, j, top - a - b)
+        for i, a in enumerate(lin)
+        for j, b in enumerate(lin)
+        if i != j or dims[i] > 1
+    ]
+    degree2 = [(m, top - m) for m, d in enumerate(table.degrees) if d == 2]
+    return lin, [top - a for a in lin], pairs, degree2
 
 
 def hyperplane(space: ProductSpace, i: int) -> ChowElement:

@@ -18,20 +18,30 @@ published versions of these formulas: the c_3 coefficient in c_1(Z)^2 is
 are exposed; the superseded variants are deliberately not provided.
 
 Each formula is the degree-4 part of a multiplier of degree at most 2 times
-the total class c(B - A) = 1 + c_1 + c_2 + c_3 + c_4, so it is evaluated as
-one pairing of the two (``ChowElement._paired``), with no degree-4 product
-built.  With u = c_1(M) - c_1:
+the total class T = c(B - A) = 1 + c_1 + c_2 + c_3 + c_4, that is its
+integral against T.  With u = c_1(M) - c_1:
 
-    c_1(Z)^2 = int (1 - 2u + u^2) c(B - A)  =  int (1 - u)^2 c(B - A)
+    c_1(Z)^2 = int (1 - u)^2 T  =  int T - 2 int u T + int u^2 T
 
-    c_2(Z)   = int (1 + (2 c_1 - c_1(M)) + X) c(B - A),  where
+    c_2(Z)   = int (1 + (c_1 - u) + X) T,  where
 
     X = c_2(M) - c_1(M) c_1 + c_2(A) - c_2(B) + c_1(B)^2 - c_1(A) c_1(B).
 
-A multiplier term of degree 3 or more would pair with c_1 or c_0 and add a
-term the formulas do not have, so every multiplier is checked to vanish
-above degree 2 before it is paired; a failure raises ``InternalCheckError``.
-The parts c_1..c_4 are split from c(B - A) in one pass (``chern_classes``).
+No multiplier is built.  Index i and index N - 1 - i are complementary
+monomials (``ChowElement._paired``), so each term is an integer pairing read
+from the dense numerators of T, c(A), c(B) and the tangent classes, at the
+complements ``chow._dual_indices`` lists once per space:
+
+- int T is the socle entry of T;
+- int l T, for a linear l, reads T at the complements of the H_i;
+- int l l' T is a k x k form read at the complements of H_i H_j, and is
+  zero where H_i H_j = 0 (i = j on a factor P^1);
+- int x T, for the degree-2 part of x, is a dot product over the degree-2
+  monomials.
+
+Each pairing is an integer over the denominators of its classes, and each
+number is built as one Fraction from them.  The one ring operation left is
+the division c(B) / c(A).
 
 ``double_point_check`` recomputes c_2(Z) by a double-point style
 rearrangement of the numbers ``virtual_chern_numbers`` returned: it adds a
@@ -50,11 +60,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb, lcm, prod
 
-from .bundles import BundleClass, chern, chern_classes, virtual_difference
-from .chow import ChowElement, ProductSpace, _make, _table
-from .errors import InternalCheckError, RankError, SpaceMismatchError
+from .bundles import BundleClass, chern, virtual_difference
+from .chow import ChowElement, ProductSpace, _dual_indices, _make, _table
+from .errors import RankError, SpaceMismatchError
 from .exact import message_text
 from .record import Record
 
@@ -116,37 +126,65 @@ def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowEl
     return _make(space, parts[1], 1), _make(space, parts[2], 1)
 
 
-def _integral_against(multiplier: ChowElement, total: ChowElement) -> Fraction:
-    """int multiplier * total, for a multiplier that must vanish above degree 2."""
-    if not multiplier._vanishes_above(2):
-        raise InternalCheckError(
-            f"expected a multiplier of degree at most 2, got {message_text(multiplier)}"
-        )
-    return multiplier._paired(total)
+def _linear(x: ChowElement, lin: list) -> list[int]:
+    """The numerators of the H_i coefficients of x, over x's denominator."""
+    nums = x._nums
+    return [nums[i] for i in lin]
+
+
+# The pairings with a total class T, from its numerators t and one list of
+# ``_dual_indices``; each is an integral times the denominators of its classes.
+
+
+def _pair_linear(x: list, t: list, duals: list) -> int:
+    """int x T for x = sum_i x_i H_i: T read at the complements of the H_i."""
+    return sum(a * t[c] for a, c in zip(x, duals))
+
+
+def _pair_bilinear(x: list, y: list, t: list, pairs: list) -> int:
+    """int x y T for linear x and y: T read at the complements of H_i H_j."""
+    return sum(x[i] * y[j] * t[c] for i, j, c in pairs)
+
+
+def _pair_degree2(x: list, t: list, degree2: list) -> int:
+    """int x T for the degree-2 part of x, given by its numerators."""
+    return sum(x[m] * t[c] for m, c in degree2)
+
+
+def _fraction(*terms: tuple[int, int]) -> Fraction:
+    """The sum of n / d over the (n, d) pairs, built as one Fraction."""
+    den = lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def virtual_chern_numbers(inp: DegeneracyInput) -> VirtualChernNumbers:
-    """Evaluate both corrected formulas, each as one pairing with c(B - A)."""
+    """Evaluate both corrected formulas as integer pairings with c(B - A)."""
     diff = virtual_difference(inp.B, inp.A)
-    total = diff.total_chern
-    c1 = chern_classes(diff)[1]
-    c1M = inp.tangent_c1
-    c1B = chern(inp.B, 1)
-    u = c1M - c1
-    one_minus_u = 1 - u
-    x = (
-        inp.tangent_c2
-        - c1M * c1
-        + chern(inp.A, 2)
-        - chern(inp.B, 2)
-        + c1B**2
-        - chern(inp.A, 1) * c1B
-    )
+    T, cA, cB = diff.total_chern, inp.A.total_chern, inp.B.total_chern
+    c2M = inp.tangent_c2
+    t, dT, dA, dB, dM = T._nums, T._den, cA._den, cB._den, inp.tangent_c1._den
+    lin, duals, pairs, degree2 = _dual_indices(inp.space.dims)
+    c1, c1M = _linear(T, lin), _linear(inp.tangent_c1, lin)
+    c1A, c1B = _linear(cA, lin), _linear(cB, lin)
+    s = dM * dT
+    u = [m * dT - c * dM for m, c in zip(c1M, c1)]  # c_1(M) - c_1, over s
+    c1_minus_u = [2 * c * dM - m * dT for m, c in zip(c1M, c1)]  # 2 c_1 - c_1(M)
     return VirtualChernNumbers(
-        # (1 - u)^2 = 1 - 2u + u^2
-        c1_sq=_integral_against(one_minus_u**2, total),
-        # 1 + (2 c_1 - c_1(M)) + X, where 2 c_1 - c_1(M) = c_1 - u
-        c2=_integral_against(one_minus_u + c1 + x, total),
+        c1_sq=_fraction(
+            (t[-1], dT),
+            (-2 * _pair_linear(u, t, duals), s * dT),
+            (_pair_bilinear(u, u, t, pairs), s * s * dT),
+        ),
+        c2=_fraction(
+            (t[-1], dT),
+            (_pair_linear(c1_minus_u, t, duals), s * dT),
+            (_pair_degree2(c2M._nums, t, degree2), c2M._den * dT),
+            (_pair_degree2(cA._nums, t, degree2), dA * dT),
+            (-_pair_degree2(cB._nums, t, degree2), dB * dT),
+            (-_pair_bilinear(c1M, c1, t, pairs), s * dT),
+            (_pair_bilinear(c1B, c1B, t, pairs), dB * dB * dT),
+            (-_pair_bilinear(c1A, c1B, t, pairs), dA * dB * dT),
+        ),
         difference=diff,
     )
 
@@ -160,14 +198,24 @@ def double_point_check(
     has.  Returns c_1(Z)^2 + int w c(B - A), with w = c_1(M) + c_2(M) - c_2
     - (c_1(M) - c_1) c_1(M), the pairing form of c_1(Z)^2 + int[ -((c_1(M)
     - c_1) c_1(M) c_2 - c_1(M) c_3) + c_2(M) c_2 - c_2^2 ]; c_1(Z)^2 and c_i =
-    c_i(B - A) are read from ``numbers``.  Callers compare the result against
-    ``numbers.c2``; both share c(B - A), so they agree identically and a
-    mismatch shows a ring slip, never a wrong formula.
+    c_i(B - A) are read from ``numbers``, each term of w as one pairing.
+    Callers compare the result against ``numbers.c2``; both share c(B - A),
+    so they agree identically and a mismatch shows a ring slip, never a wrong
+    formula.
     """
-    _, c1, c2, *_ = chern_classes(numbers.difference)
-    c1M = inp.tangent_c1
-    w = c1M + inp.tangent_c2 - c2 - (c1M - c1) * c1M
-    return numbers.c1_sq + _integral_against(w, numbers.difference.total_chern)
+    T, c2M = numbers.difference.total_chern, inp.tangent_c2
+    t, dT, dM = T._nums, T._den, inp.tangent_c1._den
+    lin, duals, pairs, degree2 = _dual_indices(inp.space.dims)
+    c1, c1M = _linear(T, lin), _linear(inp.tangent_c1, lin)
+    s = dM * dT
+    u = [m * dT - c * dM for m, c in zip(c1M, c1)]  # c_1(M) - c_1, over s
+    return _fraction(
+        numbers.c1_sq.as_integer_ratio(),
+        (_pair_linear(c1M, t, duals), s),
+        (_pair_degree2(c2M._nums, t, degree2), c2M._den * dT),
+        (-_pair_degree2(t, t, degree2), dT * dT),
+        (-_pair_bilinear(u, c1M, t, pairs), s * s),
+    )
 
 
 def degeneracy_class(inp: DegeneracyInput) -> ChowElement:

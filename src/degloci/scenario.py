@@ -29,7 +29,6 @@ import json
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 from pathlib import Path
 from typing import NoReturn
@@ -345,10 +344,13 @@ def _parse_text(text: str, source: str) -> Scenario:
 def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
     """Evaluate every named bundle expression, catching unknown names and cycles.
 
-    Each expression is evaluated once every name it refers to is resolved, in
-    the order of ``graphlib.TopologicalSorter``, which sorts without recursion,
-    so a long chain of references costs no stack.  An undefined name is
-    reported under the bundle that refers to it, a cycle under its first name.
+    An undefined name is reported first, under the bundle that refers to it.
+    Then a depth-first walk starts from each name in file order and evaluates
+    each name once every name it refers to is resolved, taking the references
+    in the order evaluation reaches them.  The walk keeps its path in a dict
+    used as an explicit stack, so a long chain of references costs no
+    recursion, and a name met again on its own path closes a cycle, reported
+    under that name, where the walk entered the cycle.
     """
     asts = dict(scenario.bundle_exprs)
     refs = {bname: _referenced_names(ast) for bname, ast in asts.items()}
@@ -356,23 +358,33 @@ def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
         for ref in names:
             if ref not in asts:
                 raise ScenarioError(f"bundles.{bname}: undefined bundle name {ref!r}")
-    try:
-        order = list(TopologicalSorter(refs).static_order())
-    except CycleError as exc:
-        # args[1] lists each name before a name that refers to it.
-        cycle = exc.args[1][::-1]
-        raise ScenarioError(
-            f"bundles.{cycle[0]}: bundle reference cycle: {' -> '.join(cycle)}"
-        ) from exc
 
     resolved: dict[str, BundleClass] = {}
-    for bname in order:
-        try:
-            resolved[bname] = evaluate_expression(
-                asts[bname], scenario.space, resolved.__getitem__
-            )
-        except (ExpressionError, ValueError) as exc:
-            raise ScenarioError(f"bundles.{bname}: {exc}") from exc
+    for root in asts:
+        if root in resolved:
+            continue
+        # The names being resolved, each referring to the next, with the
+        # references each has left to visit.
+        path = {root: iter(refs[root])}
+        while path:
+            bname = next(reversed(path))
+            ref = next((r for r in path[bname] if r not in resolved), None)
+            if ref is None:
+                del path[bname]
+                try:
+                    resolved[bname] = evaluate_expression(
+                        asts[bname], scenario.space, resolved.__getitem__
+                    )
+                except (ExpressionError, ValueError) as exc:
+                    raise ScenarioError(f"bundles.{bname}: {exc}") from exc
+            elif ref in path:
+                names = list(path)
+                cycle = names[names.index(ref):] + [ref]
+                raise ScenarioError(
+                    f"bundles.{ref}: bundle reference cycle: {' -> '.join(cycle)}"
+                )
+            else:
+                path[ref] = iter(refs[ref])
     return resolved
 
 

@@ -167,6 +167,12 @@ def test_from_text_rejects_garbage():
         ChowElement.from_text(P13, "")
     with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
         ChowElement.from_text(P13, "1/0*H1")
+    for term in ("1/" + "0" * 5000 + "*H1", "1*H" + "1" * 5000, "1*H1^" + "9" * 5000):
+        with pytest.raises(ValueError) as info:
+            ChowElement.from_text(P13, term)
+        assert str(info.value) == (
+            f"cannot parse term {term!r}: a number in it has more than 4300 digits"
+        )
 
 
 def test_immutability_and_hash():
