@@ -26,9 +26,10 @@ The degree map ``integrate`` reads off the coefficient of the socle monomial
 H_1^{n_1} ... H_k^{n_k}, the last index N - 1.  Index i and index N - 1 - i
 are complementary monomials (their exponent vectors sum to (n_1, ..., n_k)),
 which is Poincare duality in this ring (Fulton, Intersection Theory), so
-the integral of a product x * y is the pairing ``_paired``, sum_i x_i
-y_{N-1-i}: one dot product, with no product class built.  ``_graded_parts``
-splits an element into all of its graded parts in one pass over its terms.
+the integral of a product x * y is the dot product sum_i x_i y_{N-1-i},
+with no product class built; ``_dual_indices`` lists the complements that
+the degeneracy stage reads.  ``_graded_parts`` splits an element into all
+of its graded parts in one pass over its terms.
 
 Division by an element with constant term 1, which is what division of
 total Chern classes amounts to in this ring, is one triangular solve of
@@ -49,8 +50,6 @@ is reduced by one gcd only when the denominator is not 1.
 1*H1*H2^3
 >>> ((h1 + h2) ** 4).integrate()
 Fraction(4, 1)
->>> (h1 + h2)._paired((h1 + h2) ** 3)
-Fraction(4, 1)
 >>> print((1 + h1 + h2) * (1 + h1 + h2).invert_unit_series())
 1
 """
@@ -64,9 +63,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import factorial, gcd, lcm, prod
-from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import NonUnitError, SpaceMismatchError
 from .exact import as_fraction, message_text
@@ -284,10 +282,6 @@ class ChowElement:
             {monomials[i]: Fraction(v, den) for i, v in enumerate(self._nums) if v}
         )
 
-    def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        i = _table(self._space.dims).index.get(tuple(exponents))
-        return Fraction(0) if i is None else Fraction(self._nums[i], self._den)
-
     def constant_term(self) -> Fraction:
         return Fraction(self._nums[0], self._den)
 
@@ -316,10 +310,6 @@ class ChowElement:
         if isinstance(other, ChowElement):
             self._check_space(other)
             d1, d2 = self._den, other._den
-            if d1 == d2:
-                return _reduced(
-                    self._space, [a + b for a, b in zip(self._nums, other._nums)], d1
-                )
             den = lcm(d1, d2)
             f1, f2 = den // d1, den // d2
             return _reduced(
@@ -341,11 +331,6 @@ class ChowElement:
         return _make(self._space, [-v for v in self._nums], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, ChowElement) and self._den == other._den:
-            self._check_space(other)
-            return _reduced(
-                self._space, [a - b for a, b in zip(self._nums, other._nums)], self._den
-            )
         if not isinstance(other, ChowElement) and _scalar(other) is None:
             return NotImplemented
         return self + (-other)
@@ -442,19 +427,6 @@ class ChowElement:
     def integrate(self) -> Fraction:
         """Degree map: the coefficient of H_1^{n_1} ... H_k^{n_k}."""
         return Fraction(self._nums[-1], self._den)
-
-    def _paired(self, other: "ChowElement") -> Fraction:
-        """The integral of self * other, as one dot product.
-
-        Index i and index N - 1 - i are complementary monomials, H^e and
-        H^{n - e}, whose product is the socle class, and no other pair of
-        monomials reaches it; so the socle coefficient of the product is
-        sum_i x_i y_{N-1-i}.
-        """
-        self._check_space(other)
-        return Fraction(
-            sum(map(mul, self._nums, reversed(other._nums))), self._den * other._den
-        )
 
     def invert_unit_series(self) -> "ChowElement":
         """Multiplicative inverse of an element with constant term 1."""
@@ -602,26 +574,30 @@ class ChowElement:
 
 
 @cache
-def _dual_indices(dims: tuple[int, ...]) -> tuple[list, list, list, list]:
+def _dual_indices(dims: tuple[int, ...]) -> tuple[list, list, list]:
     """Where a class of degree at most 2 meets its complements, for pairings.
 
-    As in ``ChowElement._paired``, index N - 1 - i is the complement of i.
-    Returns the indices of H_1..H_k; the complement of each H_i; a triple
-    (i, j, complement of H_i H_j) for each ordered pair with H_i H_j != 0,
-    which leaves out H_i^2 on a factor P^1; and a pair (m, complement of m)
-    for each monomial m of degree 2.  Kept per space, apart from ``_Table``.
+    Index N - 1 - i is the complement of i, so the integral of x * y is
+    sum_i x_i y_{N-1-i}, and no other pair of monomials reaches the socle.
+    Returns, as full monomial indices, the pairs (m, complement of m) for
+    the monomials m of degree 1, the same for degree 2, and a triple (H_i,
+    H_j, complement of H_i H_j) for each ordered pair with H_i H_j != 0,
+    which leaves out H_i^2 on a factor P^1.  Kept per space, apart from
+    ``_Table``.
     """
     table = _table(dims)
     top = len(table.monomials) - 1
+    linear, quadratic = (
+        [(m, top - m) for m, d in enumerate(table.degrees) if d == g] for g in (1, 2)
+    )
     lin = table.linear
-    pairs = [
-        (i, j, top - a - b)
+    triples = [
+        (a, b, top - a - b)
         for i, a in enumerate(lin)
         for j, b in enumerate(lin)
         if i != j or dims[i] > 1
     ]
-    degree2 = [(m, top - m) for m, d in enumerate(table.degrees) if d == 2]
-    return lin, [top - a for a in lin], pairs, degree2
+    return linear, quadratic, triples
 
 
 def hyperplane(space: ProductSpace, i: int) -> ChowElement:

@@ -27,21 +27,19 @@ integral against T.  With u = c_1(M) - c_1:
 
     X = c_2(M) - c_1(M) c_1 + c_2(A) - c_2(B) + c_1(B)^2 - c_1(A) c_1(B).
 
-No multiplier is built.  Index i and index N - 1 - i are complementary
-monomials (``ChowElement._paired``), so each term is an integer pairing read
-from the dense numerators of T, c(A), c(B) and the tangent classes, at the
-complements ``chow._dual_indices`` lists once per space:
+No multiplier is built.  Each term is an integer pairing read from the
+dense numerators of T, c(A), c(B) and the tangent classes, at the
+complements that ``chow._dual_indices`` lists once per space:
 
 - int T is the socle entry of T;
-- int l T, for a linear l, reads T at the complements of the H_i;
-- int l l' T is a k x k form read at the complements of H_i H_j, and is
-  zero where H_i H_j = 0 (i = j on a factor P^1);
-- int x T, for the degree-2 part of x, is a dot product over the degree-2
-  monomials.
+- int x T, for the degree-1 or degree-2 part of x, is a dot product of x
+  with T at the complements of the monomials of that degree;
+- int l l' T, for linear l and l', is a k x k form read at the complements
+  of H_i H_j, and is zero where H_i H_j = 0 (i = j on a factor P^1).
 
-Each pairing is an integer over the denominators of its classes, and each
-number is built as one Fraction from them.  The one ring operation left is
-the division c(B) / c(A).
+All five classes are read over one denominator D, the lcm of theirs, so
+each number is one integer over D^3.  The one ring operation left is the
+division c(B) / c(A).
 
 ``double_point_check`` recomputes c_2(Z) by a double-point style
 rearrangement of the numbers ``virtual_chern_numbers`` returned: it adds a
@@ -50,10 +48,11 @@ correction built from their c(B - A) to their c_1(Z)^2,
     c_2(Z) = c_1(Z)^2 + int w c(B - A),
     w = c_1(M) + c_2(M) - c_2 - (c_1(M) - c_1) c_1(M).
 
-It is not an independent route: it shares c(B - A) with the formulas above,
-and its difference from c_2(Z) vanishes identically once c(B - A) =
-c(B) / c(A).  So it catches slips in the ring arithmetic, but not an error
-in either formula.
+It is the difference of the two formulas, simplified with c(B - A) =
+c(B) / c(A), so it agrees with c_2(Z) identically.  It catches a slip in
+the ring arithmetic or an error in one formula alone: on the bundled m15
+scenario it gives 336 where the superseded c_2(Z) gives 648.  It cannot
+catch an error common to both formulas, such as 2 c_4 for c_4 in each.
 """
 
 from __future__ import annotations
@@ -126,67 +125,52 @@ def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowEl
     return _make(space, parts[1], 1), _make(space, parts[2], 1)
 
 
-def _linear(x: ChowElement, lin: list) -> list[int]:
-    """The numerators of the H_i coefficients of x, over x's denominator."""
-    nums = x._nums
-    return [nums[i] for i in lin]
+def _over_one_denominator(
+    inp: DegeneracyInput, T: ChowElement
+) -> tuple[int, list[list[int]]]:
+    """D and the numerators over D of T, c(A), c(B), c_1(M) and c_2(M).
+
+    D is the lcm of their denominators, so the integral of k of these classes
+    against T is an integer over D^(k + 1).  A class already over D keeps its
+    numerator list.
+    """
+    classes = (T, inp.A.total_chern, inp.B.total_chern, inp.tangent_c1, inp.tangent_c2)
+    D = lcm(*[x._den for x in classes])
+    return D, [
+        x._nums if x._den == D else [v * (D // x._den) for v in x._nums] for x in classes
+    ]
 
 
-# The pairings with a total class T, from its numerators t and one list of
-# ``_dual_indices``; each is an integral times the denominators of its classes.
+# The pairings with T, from numerator lists and one list of ``_dual_indices``.
 
 
-def _pair_linear(x: list, t: list, duals: list) -> int:
-    """int x T for x = sum_i x_i H_i: T read at the complements of the H_i."""
-    return sum(a * t[c] for a, c in zip(x, duals))
+def _pair(x: list, t: list, pairs: list) -> int:
+    """int x_d T for the degree-d part x_d of x, given the pairs of degree d."""
+    return sum(x[m] * t[c] for m, c in pairs)
 
 
-def _pair_bilinear(x: list, y: list, t: list, pairs: list) -> int:
-    """int x y T for linear x and y: T read at the complements of H_i H_j."""
-    return sum(x[i] * y[j] * t[c] for i, j, c in pairs)
-
-
-def _pair_degree2(x: list, t: list, degree2: list) -> int:
-    """int x T for the degree-2 part of x, given by its numerators."""
-    return sum(x[m] * t[c] for m, c in degree2)
-
-
-def _fraction(*terms: tuple[int, int]) -> Fraction:
-    """The sum of n / d over the (n, d) pairs, built as one Fraction."""
-    den = lcm(*[d for _, d in terms])
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
+def _pair_bilinear(x: list, y: list, t: list, triples: list) -> int:
+    """int x_1 y_1 T for the linear parts x_1 and y_1 of x and y."""
+    return sum(x[i] * y[j] * t[c] for i, j, c in triples)
 
 
 def virtual_chern_numbers(inp: DegeneracyInput) -> VirtualChernNumbers:
     """Evaluate both corrected formulas as integer pairings with c(B - A)."""
     diff = virtual_difference(inp.B, inp.A)
-    T, cA, cB = diff.total_chern, inp.A.total_chern, inp.B.total_chern
-    c2M = inp.tangent_c2
-    t, dT, dA, dB, dM = T._nums, T._den, cA._den, cB._den, inp.tangent_c1._den
-    lin, duals, pairs, degree2 = _dual_indices(inp.space.dims)
-    c1, c1M = _linear(T, lin), _linear(inp.tangent_c1, lin)
-    c1A, c1B = _linear(cA, lin), _linear(cB, lin)
-    s = dM * dT
-    u = [m * dT - c * dM for m, c in zip(c1M, c1)]  # c_1(M) - c_1, over s
-    c1_minus_u = [2 * c * dM - m * dT for m, c in zip(c1M, c1)]  # 2 c_1 - c_1(M)
-    return VirtualChernNumbers(
-        c1_sq=_fraction(
-            (t[-1], dT),
-            (-2 * _pair_linear(u, t, duals), s * dT),
-            (_pair_bilinear(u, u, t, pairs), s * s * dT),
-        ),
-        c2=_fraction(
-            (t[-1], dT),
-            (_pair_linear(c1_minus_u, t, duals), s * dT),
-            (_pair_degree2(c2M._nums, t, degree2), c2M._den * dT),
-            (_pair_degree2(cA._nums, t, degree2), dA * dT),
-            (-_pair_degree2(cB._nums, t, degree2), dB * dT),
-            (-_pair_bilinear(c1M, c1, t, pairs), s * dT),
-            (_pair_bilinear(c1B, c1B, t, pairs), dB * dB * dT),
-            (-_pair_bilinear(c1A, c1B, t, pairs), dA * dB * dT),
-        ),
-        difference=diff,
+    D, (t, a, b, m1, m2) = _over_one_denominator(inp, diff.total_chern)
+    linear, quadratic, triples = _dual_indices(inp.space.dims)
+    u = [m - c for m, c in zip(m1, t)]  # c_1(M) - c_1 in degree 1
+    c1_sq = D * D * t[-1] - 2 * D * _pair(u, t, linear) + _pair_bilinear(u, u, t, triples)
+    c2 = (
+        D * D * t[-1]
+        + D * _pair([2 * c - m for m, c in zip(m1, t)], t, linear)
+        + D * _pair([m + p - q for m, p, q in zip(m2, a, b)], t, quadratic)
+        - _pair_bilinear(m1, t, t, triples)
+        + _pair_bilinear(b, b, t, triples)
+        - _pair_bilinear(a, b, t, triples)
     )
+    cube = D**3
+    return VirtualChernNumbers(Fraction(c1_sq, cube), Fraction(c2, cube), diff)
 
 
 def double_point_check(
@@ -199,23 +183,20 @@ def double_point_check(
     - (c_1(M) - c_1) c_1(M), the pairing form of c_1(Z)^2 + int[ -((c_1(M)
     - c_1) c_1(M) c_2 - c_1(M) c_3) + c_2(M) c_2 - c_2^2 ]; c_1(Z)^2 and c_i =
     c_i(B - A) are read from ``numbers``, each term of w as one pairing.
-    Callers compare the result against ``numbers.c2``; both share c(B - A),
-    so they agree identically and a mismatch shows a ring slip, never a wrong
-    formula.
+    Callers compare the result against ``numbers.c2``.  Both share c(B - A)
+    and agree identically once c(B - A) = c(B) / c(A), so a mismatch shows a
+    ring slip or an error in one of the two formulas alone; an error common
+    to both formulas cancels and is not seen.
     """
-    T, c2M = numbers.difference.total_chern, inp.tangent_c2
-    t, dT, dM = T._nums, T._den, inp.tangent_c1._den
-    lin, duals, pairs, degree2 = _dual_indices(inp.space.dims)
-    c1, c1M = _linear(T, lin), _linear(inp.tangent_c1, lin)
-    s = dM * dT
-    u = [m * dT - c * dM for m, c in zip(c1M, c1)]  # c_1(M) - c_1, over s
-    return _fraction(
-        numbers.c1_sq.as_integer_ratio(),
-        (_pair_linear(c1M, t, duals), s),
-        (_pair_degree2(c2M._nums, t, degree2), c2M._den * dT),
-        (-_pair_degree2(t, t, degree2), dT * dT),
-        (-_pair_bilinear(u, c1M, t, pairs), s * s),
+    D, (t, _, _, m1, m2) = _over_one_denominator(inp, numbers.difference.total_chern)
+    linear, quadratic, triples = _dual_indices(inp.space.dims)
+    u = [m - c for m, c in zip(m1, t)]  # c_1(M) - c_1 in degree 1
+    w = (
+        D * _pair(m1, t, linear)
+        + D * _pair([m - c for m, c in zip(m2, t)], t, quadratic)
+        - _pair_bilinear(u, m1, t, triples)
     )
+    return numbers.c1_sq + Fraction(w, D**3)
 
 
 def degeneracy_class(inp: DegeneracyInput) -> ChowElement:

@@ -7,7 +7,6 @@ from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from strategies import KERNEL_SPACES, chow_elements, spaces
 from degloci import (
@@ -186,22 +185,6 @@ def test_immutability_and_hash():
 def test_coefficients_reject_floats():
     with pytest.raises(TypeError):
         ChowElement(P13, {(1, 0): 0.5})
-
-
-@st.composite
-def element_pairs(draw):
-    """Two elements, rational coefficients included, on one space of KERNEL_SPACES."""
-    space = draw(spaces(KERNEL_SPACES))
-    return draw(chow_elements(space, 10)), draw(chow_elements(space, 10))
-
-
-@settings(max_examples=150, deadline=None)
-@example((H1 + H2, (H1 + H2) ** 3))
-@example((Fraction(1, 2) * H1 - Fraction(2, 3), Fraction(3, 4) * H2**3 + Fraction(1, 6)))
-@given(element_pairs())
-def test_pairing_is_the_integral_of_the_product(pair):
-    x, y = pair
-    assert x._paired(y) == (x * y).integrate() == y._paired(x)
 
 
 @settings(max_examples=150, deadline=None)

@@ -30,7 +30,7 @@ from degloci import (
     virtual_chern_numbers,
 )
 from degloci.chow import _dual_indices
-from degloci.degeneracy import _linear, _pair_bilinear, _pair_degree2, _pair_linear
+from degloci.degeneracy import _pair, _pair_bilinear
 
 P13 = ProductSpace((1, 3))
 H1 = hyperplane(P13, 1)
@@ -78,14 +78,9 @@ def test_ambient_tangent_matches_euler_sequence_product():
         ), space
 
 
-def test_m15_virtual_chern_numbers():
-    inp = m15_input()
-    numbers = virtual_chern_numbers(inp)
-    assert numbers.c1_sq == 216
-    assert numbers.c2 == 336
-
-    # The displayed formulas in product form, as degree-4 classes.
-    c1, c2, c3, c4 = (chern(numbers.difference, i) for i in range(1, 5))
+def closed_forms(inp: DegeneracyInput, difference: BundleClass):
+    """The displayed formulas in product form, as degree-4 classes."""
+    c1, c2, c3, c4 = (chern(difference, i) for i in range(1, 5))
     c1M, c2M = inp.tangent_c1, inp.tangent_c2
     c1_sq_class = (c1M - c1) ** 2 * c2 - 2 * (c1M - c1) * c3 + c4
     c2_class = (
@@ -96,6 +91,16 @@ def test_m15_virtual_chern_numbers():
         + chern(inp.B, 1) ** 2
         - chern(inp.A, 1) * chern(inp.B, 1)
     ) * c2 + (-c1M + 2 * c1) * c3 + c4
+    return c1_sq_class, c2_class
+
+
+def test_m15_virtual_chern_numbers():
+    inp = m15_input()
+    numbers = virtual_chern_numbers(inp)
+    assert numbers.c1_sq == 216
+    assert numbers.c2 == 336
+
+    c1_sq_class, c2_class = closed_forms(inp, numbers.difference)
     assert c1_sq_class.is_homogeneous(4)
     assert c2_class.is_homogeneous(4)
     assert (c1_sq_class.integrate(), c2_class.integrate()) == (216, 336)
@@ -186,31 +191,58 @@ def test_rational_chern_coefficients():
     assert double_point_check(inp, numbers) == Fraction(709, 1080)
 
 
-@pytest.mark.parametrize("space", stg.KERNEL_SPACES, ids=str)
-def test_pairings_match_ring_products(space):
-    """Each integer pairing with T is the integral of the product it stands for."""
-    rng = random.Random(f"pairings {space.dims}")
+@pytest.mark.parametrize("space", stg.PIPELINE_SPACES, ids=str)
+def test_rational_classes_match_the_product_form(space):
+    """Classes over several denominators: each number is the integral of its
+    multiplier or closed form times T, built with ring products."""
+    rng = random.Random(f"rational classes {space.dims}")
     monomials = list(product(*(range(n + 1) for n in space.dims)))
 
     def element(*degrees):
         return ChowElement(space, {
-            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3, 4)))
+            e: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 7, 9, 12)))
             for e in monomials
             if sum(e) in degrees
+        })
+
+    for rank in range(6):
+        A = BundleClass(space, rank, 1 + element(1, 2, 3, 4))
+        B = BundleClass(space, rank + 1, 1 + element(1, 2, 3, 4))
+        inp = DegeneracyInput(space, element(1), element(2), A, B)
+        numbers = virtual_chern_numbers(inp)
+        T, c1 = numbers.difference.total_chern, chern(numbers.difference, 1)
+        u = inp.tangent_c1 - c1
+        c1_sq_class, c2_class = closed_forms(inp, numbers.difference)
+        assert numbers.c1_sq == ((1 - u) ** 2 * T).integrate() == c1_sq_class.integrate()
+        assert numbers.c2 == c2_class.integrate()
+        assert double_point_check(inp, numbers) == numbers.c2
+
+
+@pytest.mark.parametrize("space", stg.KERNEL_SPACES, ids=str)
+def test_pairings_match_ring_products(space):
+    """Each integer pairing with T is the integral of the product it stands
+    for, reading only the graded parts it names from full numerator lists."""
+    rng = random.Random(f"pairings {space.dims}")
+    monomials = list(product(*(range(n + 1) for n in space.dims)))
+
+    def element():
+        return ChowElement(space, {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3, 4)))
+            for e in monomials
         })
 
     def over(numerator, *classes):
         return Fraction(numerator, prod(x._den for x in classes))
 
-    lin, duals, pairs, degree2 = _dual_indices(space.dims)
+    linear, quadratic, triples = _dual_indices(space.dims)
     for _ in range(3):
-        T = element(*range(space.total_dimension + 1))
-        l, m, x = element(1), element(1), element(2)
-        t, ls, ms = T._nums, _linear(l, lin), _linear(m, lin)
-        assert over(_pair_linear(ls, t, duals), l, T) == (l * T).integrate()
-        assert over(_pair_bilinear(ls, ms, t, pairs), l, m, T) == (l * m * T).integrate()
-        assert over(_pair_bilinear(ls, ls, t, pairs), l, l, T) == (l * l * T).integrate()
-        assert over(_pair_degree2(x._nums, t, degree2), x, T) == (x * T).integrate()
+        T, x, y = element(), element(), element()
+        t, xs, ys = T._nums, x._nums, y._nums
+        x1, x2, y1 = x.graded_part(1), x.graded_part(2), y.graded_part(1)
+        assert over(_pair(xs, t, linear), x, T) == (x1 * T).integrate()
+        assert over(_pair(xs, t, quadratic), x, T) == (x2 * T).integrate()
+        assert over(_pair_bilinear(xs, ys, t, triples), x, y, T) == (x1 * y1 * T).integrate()
+        assert over(_pair_bilinear(xs, xs, t, triples), x, x, T) == (x1 * x1 * T).integrate()
 
 
 @settings(max_examples=200, deadline=None)
