@@ -23,11 +23,15 @@ an identity this module exposes on both sides so it can be checked exactly.
 An earlier published version of the delta_0 and delta_j formulas omitted the
 multiplicities on the uncorrected terms; the forms above are the corrected
 ones.
+
+Each value is one integer ratio: the multisection data are integers, and the
+slope's numerator is summed over the lcm of the denominators of its terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import SlopeUndefinedError
 from .exact import as_fraction, message_text
@@ -107,7 +111,7 @@ def relative_omega_degree(params: BaseChangeParams, ell: int) -> Fraction:
 def sigma_tilde_self_intersection(params: BaseChangeParams, ell: int) -> Fraction:
     """Self-intersection of the proper-transform section over multisection l."""
     _, _, _, m_other = params._side(ell)
-    return m_other * (-relative_omega_degree(params, ell)) - params.A12
+    return Fraction(-m_other * relative_omega_degree(params, ell).numerator - params.A12)
 
 
 def beta_delta0_correction(params: BaseChangeParams) -> Fraction:
@@ -117,16 +121,17 @@ def beta_delta0_correction(params: BaseChangeParams) -> Fraction:
     identically; this form evaluates the displayed sum directly.
     """
     h = params.base_genus
-    total = Fraction(0)
+    total = 0
     for ell in (1, 2):
         m, g, a_sq, m_other = params._side(ell)
         total += m_other * (m * (2 * h - 2) - (2 * g - 2) + a_sq) - params.A12
-    return total
+    return Fraction(total)
 
 
 def beta_delta_j(params: BaseChangeParams, F_delta_j) -> Fraction:
     """Boundary degrees away from delta_0, delta_1 scale by m_1 m_2."""
-    return params.m1 * params.m2 * as_fraction(F_delta_j)
+    p, q = as_fraction(F_delta_j).as_integer_ratio()
+    return Fraction(params.m1 * params.m2 * p, q)
 
 
 def pullback_slope(params: BaseChangeParams) -> PullbackSlope:
@@ -136,17 +141,17 @@ def pullback_slope(params: BaseChangeParams) -> PullbackSlope:
             "slope after base change is undefined: the base family has lambda = 0"
         )
     mm = params.m1 * params.m2
-    lambda_B = mm * params.base_lambda
+    lam, lam_den = params.base_lambda.as_integer_ratio()
+    d0, d0_den = params.base_delta0.as_integer_ratio()
     correction = beta_delta0_correction(params)
-    delta0_B = mm * params.base_delta0 + correction
-    delta1_B = Fraction(params.A12)
+    delta0_num = mm * d0 + correction.numerator * d0_den  # delta0_B over d0_den
     delta_rest_B = tuple(beta_delta_j(params, d) for d in params.base_delta_rest)
-    slope = (delta0_B + delta1_B + sum(delta_rest_B, Fraction(0))) / lambda_B
+    # delta0_B + delta1_B + sum_j delta_j,B over den.
+    den = lcm(d0_den, *[d.denominator for d in delta_rest_B])
+    total = delta0_num * (den // d0_den) + params.A12 * den
+    for d in delta_rest_B:
+        total += d.numerator * (den // d.denominator)
     return PullbackSlope(
-        lambda_B=lambda_B,
-        delta0_correction=correction,
-        delta0_B=delta0_B,
-        delta1_B=delta1_B,
-        delta_rest_B=delta_rest_B,
-        slope=slope,
+        Fraction(mm * lam, lam_den), correction, Fraction(delta0_num, d0_den),
+        Fraction(params.A12), delta_rest_B, Fraction(total * lam_den, den * mm * lam),
     )

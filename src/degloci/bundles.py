@@ -55,6 +55,15 @@ class BundleClass(Record):
         _set(self, "total_chern", total_chern)
 
 
+def _bundle(space: ProductSpace, rank: int, total_chern: ChowElement) -> BundleClass:
+    """An operation's result, unchecked: ring operations keep a unit on its space."""
+    E = object.__new__(BundleClass)
+    _set(E, "space", space)
+    _set(E, "rank", rank)
+    _set(E, "total_chern", total_chern)
+    return E
+
+
 def _check_same_space(E: BundleClass, F: BundleClass):
     if E.space != F.space:
         raise SpaceMismatchError(
@@ -80,7 +89,7 @@ def line_bundle(
             f"{message_text(multiplicity, repr)}"
         )
     total = _one_plus_linear_power(space, degrees, multiplicity)
-    return BundleClass(space, multiplicity, total)
+    return _bundle(space, multiplicity, total)
 
 
 def trivial_bundle(space: ProductSpace, rank: int = 1) -> BundleClass:
@@ -91,12 +100,12 @@ def trivial_bundle(space: ProductSpace, rank: int = 1) -> BundleClass:
 def direct_sum(E: BundleClass, F: BundleClass) -> BundleClass:
     """Whitney sum: ranks add, total Chern classes multiply."""
     _check_same_space(E, F)
-    return BundleClass(E.space, E.rank + F.rank, E.total_chern * F.total_chern)
+    return _bundle(E.space, E.rank + F.rank, E.total_chern * F.total_chern)
 
 
 def dual(E: BundleClass) -> BundleClass:
     """Dual class: c_i(E^v) = (-1)^i c_i(E); rank unchanged."""
-    return BundleClass(E.space, E.rank, E.total_chern._odd_negated())
+    return _bundle(E.space, E.rank, E.total_chern._odd_negated())
 
 
 def twist(E: BundleClass, L: BundleClass) -> BundleClass:
@@ -123,7 +132,7 @@ def twist(E: BundleClass, L: BundleClass) -> BundleClass:
             f"cannot twist a virtual class of negative rank {message_text(E.rank)}"
         )
     total = E.total_chern._twisted(L.total_chern, E.rank)
-    return BundleClass(E.space, E.rank, total)
+    return _bundle(E.space, E.rank, total)
 
 
 def kernel_from_sequence(middle: BundleClass, quotient: BundleClass) -> BundleClass:
@@ -135,14 +144,14 @@ def kernel_from_sequence(middle: BundleClass, quotient: BundleClass) -> BundleCl
             f"rank {message_text(quotient.rank)}"
         )
     total = middle.total_chern._divided_by(quotient.total_chern)
-    return BundleClass(middle.space, middle.rank - quotient.rank, total)
+    return _bundle(middle.space, middle.rank - quotient.rank, total)
 
 
 def virtual_difference(B: BundleClass, A: BundleClass) -> BundleClass:
     """The K-theory difference B - A with total Chern class c(B)/c(A)."""
     _check_same_space(B, A)
     total = B.total_chern._divided_by(A.total_chern)
-    return BundleClass(B.space, B.rank - A.rank, total)
+    return _bundle(B.space, B.rank - A.rank, total)
 
 
 def chern_classes(E: BundleClass) -> list[ChowElement]:

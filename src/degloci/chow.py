@@ -29,7 +29,7 @@ which is Poincare duality in this ring (Fulton, Intersection Theory), so
 the integral of a product x * y is the dot product sum_i x_i y_{N-1-i},
 with no product class built; ``_dual_indices`` lists the complements that
 the degeneracy stage reads.  ``_graded_parts`` splits an element into all
-of its graded parts in one pass over its terms.
+of its graded parts in one pass over its terms; ``_graded_texts`` prints them so.
 
 Division by an element with constant term 1, which is what division of
 total Chern classes amounts to in this ring, is one triangular solve of
@@ -42,7 +42,7 @@ product of c with the powers of l, weighted by a table of binomials.
 
 The text form prints each nonzero term as its coefficient followed by the
 monomial's label (``*H1*H2^3``), read from the same table; a term's fraction
-is reduced by one gcd only when the denominator is not 1.
+is reduced by one gcd only when the denominator is not 1 (``_term_text``).
 
 >>> P13 = ProductSpace((1, 3))
 >>> h1, h2 = hyperplane(P13, 1), hyperplane(P13, 2)
@@ -204,6 +204,11 @@ def _scalar(value) -> tuple[int, int] | None:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     return None
+
+
+def _term_text(v: int, den: int, label: str) -> str:
+    """The text of a nonzero term v / den times the monomial labelled ``label``."""
+    return f"{v}{label}" if den == 1 else f"{Fraction(v, den)}{label}"
 
 
 class ChowElement:
@@ -519,16 +524,17 @@ class ChowElement:
     def __str__(self):
         labels, den = _table(self._space.dims).labels, self._den
         pairs = zip(reversed(self._nums), reversed(labels))
-        if den == 1:
-            parts = [f"{v}{label}" for v, label in pairs if v]
-        else:
-            parts = []
-            for v, label in pairs:
-                if v:
-                    g = gcd(v, den)
-                    q = den // g
-                    parts.append(f"{v // g}{label}" if q == 1 else f"{v // g}/{q}{label}")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join([_term_text(v, den, label) for v, label in pairs if v]) or "0"
+
+    def _graded_texts(self) -> list[str]:
+        """[str(graded_part(0)), ..., str(graded_part(top))], in one pass over the terms."""
+        table, den = _table(self._space.dims), self._den
+        parts = [[] for _ in range(table.degrees[-1] + 1)]
+        terms = zip(reversed(self._nums), reversed(table.degrees), reversed(table.labels))
+        for v, d, label in terms:
+            if v:
+                parts[d].append(_term_text(v, den, label))
+        return [" + ".join(p) or "0" for p in parts]
 
     def __repr__(self):
         return f"<ChowElement {self} on {self._space}>"
@@ -627,10 +633,12 @@ def _linear_powers(space: ProductSpace, coeffs, weights: list[int]) -> list[int]
     and each monomial belongs to one power of l, so one pass builds the sum.
     """
     table = _table(space.dims)
-    # prod_i coeffs[i]^{e_i}, in index order: itertools.product runs through
-    # the exponent vectors in the same lexicographic order as the monomials.
-    rows = [[c**e for e in range(n + 1)] for c, n in zip(coeffs, space.dims)]
-    powers = map(prod, product(*rows))
+    # prod_i coeffs[i]^{e_i} in index order, one factor at a time: the first
+    # factor's exponent varies slowest, as in the lexicographic monomial order.
+    powers = [1]
+    for c, n in zip(coeffs, space.dims):
+        row = [c**e for e in range(n + 1)]
+        powers = [p * q for p in powers for q in row]
     return [
         v * m * weights[s] for v, m, s in zip(powers, table.multinomials, table.degrees)
     ]

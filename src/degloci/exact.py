@@ -68,9 +68,12 @@ def decimal_text(q: Fraction, significant_digits: int = 6) -> str:
     Derived from the exact value at call time, rounding half to even;
     exact integers print without padding (216 -> '216') while true rationals
     round (98/15 -> '6.53333').  The caller's decimal context plays no part.
+    An integer of at most that many digits is ``str(n)``: the division is exact.
     """
     if significant_digits < 1:
         raise ValueError("significant_digits must be >= 1")
+    if q.denominator == 1 and abs(q.numerator) < 10**significant_digits:
+        return str(q.numerator)
     ctx = _DECIMAL_CONTEXT.copy()
     ctx.prec = significant_digits
     return ctx.to_sci_string(ctx.divide(q.numerator, q.denominator))

@@ -231,18 +231,21 @@ def evaluate_expression(
 
 
 def _evaluate(node: Expression, space, resolve) -> BundleClass:
-    if isinstance(node, LineBundleExpr):
+    if type(node) is Apply:
+        function = getattr(bundles, _OPERATORS[node.op][0])
+        if len(node.args) == 1:
+            return function(_evaluate(node.args[0], space, resolve))
+        first, second = node.args
+        return function(_evaluate(first, space, resolve), _evaluate(second, space, resolve))
+    if type(node) is LineBundleExpr:
         if len(node.degrees) != space.num_factors:
             raise ExpressionError(
                 f"O(...) needs {space.num_factors} degrees on {space}, "
                 f"got {len(node.degrees)}"
             )
         return bundles.line_bundle(space, node.degrees, node.multiplicity)
-    if isinstance(node, NameRef):
+    if type(node) is NameRef:
         if resolve is None:
             raise ExpressionError(f"unknown bundle name {node.name!r}")
         return resolve(node.name)
-    if isinstance(node, Apply):
-        function = getattr(bundles, _OPERATORS[node.op][0])
-        return function(*(_evaluate(arg, space, resolve) for arg in node.args))
     raise ExpressionError(f"unhandled expression node {node!r}")

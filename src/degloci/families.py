@@ -9,6 +9,9 @@ genus-g curves over a base of genus q, the standard relative invariants are
 
 and the slope of the induced map to moduli is delta / lambda.  The Mumford
 relation 12 lambda = kappa + delta holds by construction and is asserted.
+
+With c_1^2 and c_2 over one denominator d, kappa d, delta d and 12 lambda d are
+integers, so each value is one integer ratio: slope = 12 delta d / (12 lambda d).
 """
 
 from __future__ import annotations
@@ -60,15 +63,16 @@ def invariants_from_chern_numbers(
         raise ValueError(
             f"fiber genus {g} is below 2; pass allow_low_genus=True to accept it"
         )
-    c1_sq = as_fraction(c1_sq)
-    c2 = as_fraction(c2)
-
-    kappa = c1_sq - 2 * (2 * g - 2) * (2 * q - 2)
-    delta = c2 - (2 - 2 * g) * (2 - 2 * q)
-    lambda_ = (kappa + delta) / 12
+    p1, q1 = as_fraction(c1_sq).as_integer_ratio()
+    p2, q2 = as_fraction(c2).as_integer_ratio()
+    d = q1 * q2
+    kappa_d = p1 * q2 - 2 * (2 * g - 2) * (2 * q - 2) * d
+    delta_d = p2 * q1 - (2 - 2 * g) * (2 - 2 * q) * d
+    kappa, delta = Fraction(kappa_d, d), Fraction(delta_d, d)
+    lambda_ = Fraction(kappa_d + delta_d, 12 * d)
     if 12 * lambda_ != kappa + delta:
         raise InternalCheckError("Mumford relation 12*lambda = kappa + delta violated")
-    slope = delta / lambda_ if lambda_ != 0 else None
+    slope = Fraction(12 * delta_d, kappa_d + delta_d) if lambda_ else None
 
     return FamilyInvariants(
         kappa=kappa,

@@ -89,6 +89,15 @@ def class_entry(key: str, value: ChowElement) -> ReportEntry:
     return ReportEntry(key, "class", _text(key, value))
 
 
+def graded_entries(key: str, value: ChowElement, degrees: range) -> list[ReportEntry]:
+    """``class_entry(key.format(d), value.graded_part(d))`` for d in ``degrees``."""
+    try:
+        texts = value._graded_texts()
+    except ValueError:  # a number too long to print: refuse it under its part's key
+        texts = {d: _text(key.format(d), value.graded_part(d)) for d in degrees}
+    return [ReportEntry(key.format(d), "class", texts[d]) for d in degrees]
+
+
 def text_entry(key: str, value: str) -> ReportEntry:
     return ReportEntry(key, "text", value)
 

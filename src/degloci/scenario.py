@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import NoReturn
@@ -38,7 +38,7 @@ from .base_change import (
     pullback_slope,
     sigma_tilde_self_intersection,
 )
-from .bundles import BundleClass, chern_classes
+from .bundles import BundleClass
 from .chow import ProductSpace
 from .degeneracy import (
     DegeneracyInput,
@@ -57,7 +57,9 @@ from .expressions import (
 )
 from .families import invariants_from_chern_numbers
 from .record import Record
-from .report import CheckResult, Report, class_entry, rational_entry, text_entry
+from .report import (
+    CheckResult, Report, ReportEntry, class_entry, graded_entries, rational_entry, text_entry,
+)
 
 BUNDLED_SCENARIOS = ("m15", "m16")
 
@@ -180,15 +182,21 @@ def _reject_float(text: str):
     )
 
 
-@contextmanager
-def _stage(label: str):
-    """Relabel value errors from inner modules as scenario errors."""
-    try:
-        yield
-    except (ScenarioError, InternalCheckError):
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"{label}: {exc}") from exc
+class _stage:
+    """A context that relabels a ValueError or ZeroDivisionError from an inner
+    module as a ScenarioError naming the stage; a ScenarioError passes through."""
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        # An InternalCheckError is an AssertionError, so it passes through too.
+        relabel = isinstance(exc, (ValueError, ZeroDivisionError))
+        if relabel and not isinstance(exc, ScenarioError):
+            raise ScenarioError(f"{self.label}: {exc}") from exc
 
 
 # -- parsing ----------------------------------------------------------------
@@ -391,6 +399,13 @@ def resolve_bundles(scenario: Scenario) -> dict[str, BundleClass]:
 # -- pipeline ---------------------------------------------------------------
 
 
+@cache
+def _tangent_entries(space: ProductSpace) -> tuple[ReportEntry, ReportEntry]:
+    """The c1(M) and c2(M) report entries: immutable, printed once per space."""
+    tangent_c1, tangent_c2 = ambient_tangent_of_product(space)
+    return class_entry("c1(M)", tangent_c1), class_entry("c2(M)", tangent_c2)
+
+
 def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     """Run the full pipeline and assemble the deterministic report.
 
@@ -401,12 +416,9 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     is present, the identity between the delta_0 correction and the sum of
     section self-intersections.
     """
-    entries = []
-
     with _stage("space"):
         tangent_c1, tangent_c2 = ambient_tangent_of_product(scenario.space)
-    entries.append(class_entry("c1(M)", tangent_c1))
-    entries.append(class_entry("c2(M)", tangent_c2))
+    entries = list(_tangent_entries(scenario.space))
 
     bundles = dict(scenario.bundles)
     A = bundles[scenario.degeneracy_a]
@@ -420,8 +432,7 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     with _stage("degeneracy"):
         inp = DegeneracyInput(scenario.space, tangent_c1, tangent_c2, A, B)
         numbers = virtual_chern_numbers(inp)
-    for i, part in enumerate(chern_classes(numbers.difference)[1:5], start=1):
-        entries.append(class_entry(f"c{i}(B-A)", part))
+    entries += graded_entries("c{}(B-A)", numbers.difference.total_chern, range(1, 5))
     entries.append(rational_entry("c1(Z)^2", numbers.c1_sq))
     entries.append(rational_entry("c2(Z)", numbers.c2))
 
@@ -444,14 +455,14 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
         with _stage("base_change"):
             if params.base_lambda != fam.lambda_:
                 raise ScenarioError(
-                    f"base_change.base_lambda = {params.base_lambda} does not match "
-                    f"the family stage's lambda = {fam.lambda_}"
+                    f"base_change.base_lambda = {message_text(params.base_lambda)} "
+                    f"does not match the family stage's lambda = {message_text(fam.lambda_)}"
                 )
-            delta_total = params.base_delta0 + sum(params.base_delta_rest, Fraction(0))
+            delta_total = sum(params.base_delta_rest, params.base_delta0)
             if delta_total != fam.delta:
                 raise ScenarioError(
-                    f"base_change delta degrees sum to {delta_total}, but the family "
-                    f"stage's delta = {fam.delta}"
+                    f"base_change delta degrees sum to {message_text(delta_total)}, but "
+                    f"the family stage's delta = {message_text(fam.delta)}"
                 )
             sigma = tuple(sigma_tilde_self_intersection(params, ell) for ell in (1, 2))
             pb = pullback_slope(params)

@@ -24,6 +24,7 @@ from degloci import (
     NonUnitError,
     beta_delta0_correction,
     direct_sum,
+    dual,
     invariants_from_chern_numbers,
     kernel_from_sequence,
     line_bundle,
@@ -42,6 +43,12 @@ def _assert_canonical(r: ChowElement):
         assert type(coeff) is Fraction and coeff != 0
         assert all(e <= n for e, n in zip(exps, r.space.dims))
     assert ChowElement(r.space, dict(r.terms)).terms == r.terms
+
+
+def _assert_checked(*results: BundleClass):
+    """Bundle results skip BundleClass's checks, so rebuild each through them."""
+    for E in results:
+        assert BundleClass(E.space, E.rank, E.total_chern) == E
 
 
 @SUITE
@@ -204,7 +211,10 @@ def mul_invert_is_one(u):
 @given(stg.line_sum_pairs())
 def whitney_cancellation(setup):
     space, E, F = setup
-    recovered = kernel_from_sequence(direct_sum(E, F), F)
+    total = direct_sum(E, F)
+    recovered = kernel_from_sequence(total, F)
+    # E and F are line bundles or direct sums of them.
+    _assert_checked(E, F, total, recovered)
     assert recovered.rank == E.rank
     assert recovered.total_chern == E.total_chern
 
@@ -213,8 +223,13 @@ def whitney_cancellation(setup):
 @given(stg.twist_setups())
 def twist_sequence_commutation(setup):
     M, Q, L = setup
-    lhs = twist(kernel_from_sequence(M, Q), L)
-    rhs = kernel_from_sequence(twist(M, L), twist(Q, L))
+    K = kernel_from_sequence(M, Q)
+    lhs = twist(K, L)
+    twisted_M, twisted_Q = twist(M, L), twist(Q, L)
+    rhs = kernel_from_sequence(twisted_M, twisted_Q)
+    _assert_checked(
+        L, K, lhs, twisted_M, twisted_Q, rhs, dual(K), virtual_difference(Q, twisted_M)
+    )
     assert lhs.rank == rhs.rank
     assert lhs.total_chern == rhs.total_chern
 

@@ -290,6 +290,13 @@ expression_texts = st.one_of(
 _LONG_LITERALS = ["9" * 4299, "9" * 4300, "-" + "9" * 4300, "1" + "0" * 4299, "9" * 4301]
 
 
+# Long p/q strings for the rationals of a base_change block.
+_LONG_RATIONALS = [
+    "9" * 4300, "-" + "9" * 4300, "9" * 4301, "1/" + "9" * 4300, "9" * 4300 + "/7",
+    "2/" + "9" * 4301,
+]
+
+
 @st.composite
 def hostile_scenario_texts(draw):
     """The JSON text of minimal_data() with long literals and long name chains.
@@ -297,7 +304,10 @@ def hostile_scenario_texts(draw):
     Up to two long literals go into a degree, a multiplicity, a twisting or
     kernel degree, or a genus (written into the text unquoted, so a JSON
     integer may exceed the limit too); then A or B may be routed through a
-    chain of up to 400 names.
+    chain of up to 400 names.  Sometimes a base_change block is added, which
+    agrees with the family stage of minimal_data() (lambda 2, delta 7) until
+    a long literal goes into one of its integers or a long 'p/q' string into
+    one of its rationals.
     """
     data = minimal_data()
     bundles = data["bundles"]
@@ -319,6 +329,23 @@ def hostile_scenario_texts(draw):
             key = draw(st.sampled_from(["fiber_genus", "base_genus"]))
             integers[f"@{key}@"] = literal
             data["family"][key] = f"@{key}@"
+    if draw(st.booleans()):
+        block = {
+            "m1": 2, "m2": 3, "g_a1": 1, "g_a2": 4, "a1_sq": -1, "a2_sq": 2, "a12": 5,
+            "base_lambda": 2, "base_delta0": "13/2", "base_delta_rest": ["1/2"],
+        }
+        for _ in range(draw(st.integers(1, 2))):
+            key = draw(st.sampled_from(sorted(block)))
+            if key.startswith("base_"):
+                value = draw(st.sampled_from(_LONG_RATIONALS))
+                if key == "base_delta_rest":
+                    block[key] = [value, "1/2"]
+                else:
+                    block[key] = value
+            else:
+                integers[f"@{key}@"] = draw(st.sampled_from(_LONG_LITERALS))
+                block[key] = f"@{key}@"
+        data["base_change"] = block
     links = draw(st.integers(0, 400))
     if links:
         target = draw(st.sampled_from(["A", "B"]))

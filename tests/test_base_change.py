@@ -1,11 +1,13 @@
 """Base change along two multisections: corrections and the pulled-back slope."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from degloci import (
     BaseChangeParams,
+    PullbackSlope,
     SlopeUndefinedError,
     beta_delta0_correction,
     beta_delta_j,
@@ -120,3 +122,43 @@ def test_params_validation():
         m16_params(g_A1="105")
     with pytest.raises(TypeError):
         m16_params(base_lambda=60.0)
+
+
+def _rational(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
+
+
+def test_outputs_match_the_displayed_formulas():
+    """sigma_tilde_self_intersection and every field of pullback_slope against
+    the module docstring's formulas, evaluated naively in Fraction: rational
+    base degrees with denominators up to 12, a nonempty base_delta_rest,
+    negative A_l^2 and base genus h >= 2."""
+    rng = random.Random(1703)
+    for _ in range(500):
+        m = (rng.randint(1, 9), rng.randint(1, 9))
+        g_A = (rng.randint(0, 40), rng.randint(0, 40))
+        A_sq = (rng.randint(-30, -1), rng.randint(-30, 30))
+        A12, h = rng.randint(0, 20), rng.randint(2, 6)
+        lam = _rational(rng, 300) or Fraction(1, 7)
+        delta0 = _rational(rng, 300)
+        rest = tuple(_rational(rng, 60) for _ in range(rng.randint(1, 3)))
+        params = BaseChangeParams(
+            m[0], m[1], g_A[0], g_A[1], A_sq[0], A_sq[1], A12, h, lam, delta0, rest
+        )
+        sigma = []
+        correction = 0
+        for ell in (0, 1):
+            other = m[1 - ell]
+            omega = (2 * g_A[ell] - 2) - A_sq[ell] - m[ell] * (2 * h - 2)
+            sigma.append(other * (-omega) - A12)
+            correction += (
+                other * (m[ell] * (2 * h - 2) - (2 * g_A[ell] - 2) + A_sq[ell]) - A12
+            )
+        mm = m[0] * m[1]
+        delta0_B = mm * delta0 + correction
+        delta_rest_B = tuple(mm * d for d in rest)
+        slope = (delta0_B + A12 + sum(delta_rest_B)) / (mm * lam)
+        assert [sigma_tilde_self_intersection(params, ell) for ell in (1, 2)] == sigma
+        assert pullback_slope(params) == PullbackSlope(
+            mm * lam, Fraction(correction), delta0_B, Fraction(A12), delta_rest_B, slope
+        )

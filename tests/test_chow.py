@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 
 from strategies import KERNEL_SPACES, chow_elements, spaces
 from degloci import (
+    BundleClass,
     ChowElement,
     NonUnitError,
     ProductSpace,
     SpaceMismatchError,
     hyperplane,
 )
+from degloci.bundles import chern_classes
 
 P13 = ProductSpace((1, 3))
 H1 = hyperplane(P13, 1)
@@ -196,6 +198,28 @@ def test_graded_parts_split_the_element(x):
     assert sum(parts, ChowElement.zero(x.space)) == x
     for d, part in enumerate(parts):
         assert part == x.graded_part(d)
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=str)
+def test_graded_texts_print_each_chern_class(space):
+    """The one-pass texts of the graded parts, which the report prints c_i(B - A)
+    from, against printing each Chern class on its own: denominators other
+    than 1, parts that vanish and negative coefficients."""
+    rng = random.Random(f"texts {space.dims}")
+    monomials = list(product(*(range(n + 1) for n in space.dims)))
+    top = space.total_dimension
+    for _ in range(20):
+        vanishing = set(rng.sample(range(1, top + 1), rng.randint(0, 2)))
+        terms = {
+            e: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12)))
+            for e in monomials
+            if sum(e) not in vanishing
+        }
+        terms[monomials[0]] = 1
+        E = BundleClass(space, rng.randint(0, 5), ChowElement(space, terms))
+        texts = E.total_chern._graded_texts()
+        assert texts == [str(part) for part in chern_classes(E)]
+        assert all(texts[d] == "0" for d in vanishing)
 
 
 _NOT_NONNEGATIVE = "exponents must be nonnegative integers, got "

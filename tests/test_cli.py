@@ -169,6 +169,19 @@ def test_report_number_beyond_digit_limit_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_base_change_refusal_keeps_its_reason_for_a_long_number(tmp_path, capsys):
+    # The family stage gives lambda = 2 and delta = 7; base_delta0 + 1 has 4301 digits.
+    base_change = {**BASE_CHANGE, "base_lambda": 2, "base_delta0": "9" * 4300}
+    path = _scenario_file(tmp_path, base_change={**base_change, "base_delta_rest": [1]})
+    code, out, err = run_cli(capsys, "--config", path, "--check")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: base_change delta degrees sum to (not shown: a number has more than "
+        "4300 digits), but the family stage's delta = 7\n"
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(stg.hostile_scenario_texts(), st.sampled_from(sorted(RENDERERS)))
 def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(

@@ -46,6 +46,27 @@ def test_decimal_text_six_significant_digits():
     assert decimal_text(Fraction(1, 3), significant_digits=3) == "0.333"
 
 
+@pytest.mark.parametrize(
+    "n, digits, text",
+    [
+        (0, 3, "0"),
+        (999, 3, "999"),
+        (-999, 3, "-999"),
+        (1000, 3, "1.00E+3"),
+        (-1000, 3, "-1.00E+3"),
+        (0, 6, "0"),
+        (999999, 6, "999999"),
+        (-999999, 6, "-999999"),
+        (10**6, 6, "1.00000E+6"),
+        (-(10**6), 6, "-1.00000E+6"),
+    ],
+)
+def test_decimal_text_integers_at_the_precision(n, digits, text):
+    # An integer of at most ``digits`` digits prints as itself, without the
+    # division; one digit more rounds to the precision.
+    assert decimal_text(Fraction(n), digits) == text
+
+
 def test_decimal_text_rejects_bad_precision():
     with pytest.raises(ValueError):
         decimal_text(Fraction(1), significant_digits=0)

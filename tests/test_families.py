@@ -1,10 +1,11 @@
 """Family invariants: kappa, delta, lambda, slope."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from degloci import invariants_from_chern_numbers
+from degloci import FamilyInvariants, invariants_from_chern_numbers
 
 
 def test_m15_values():
@@ -58,3 +59,20 @@ def test_rational_inputs_accepted():
 def test_non_integral_lambda_kept_exact():
     fam = invariants_from_chern_numbers(1, 0, 2, 0)
     assert fam.lambda_ == Fraction(13, 12)
+
+
+def test_outputs_match_the_displayed_formulas():
+    """Every field against the module docstring's formulas, evaluated naively
+    in Fraction, on rational Chern numbers with denominators up to 12."""
+    rng = random.Random(1701)
+    for _ in range(500):
+        c1_sq = Fraction(rng.randint(-600, 600), rng.randint(1, 12))
+        c2 = Fraction(rng.randint(-600, 600), rng.randint(1, 12))
+        g, q = rng.randint(0, 30), rng.randint(0, 6)
+        kappa = c1_sq - 2 * (2 * g - 2) * (2 * q - 2)
+        delta = c2 - (2 - 2 * g) * (2 - 2 * q)
+        lambda_ = (kappa + delta) / 12
+        slope = delta / lambda_ if lambda_ != 0 else None
+        fam = invariants_from_chern_numbers(c1_sq, c2, g, q, allow_low_genus=True)
+        assert fam == FamilyInvariants(kappa, delta, lambda_, slope, g, q)
+        assert all(type(v) is Fraction for v in (fam.kappa, fam.delta, fam.lambda_))
