@@ -155,8 +155,8 @@ def virtual_difference(B: BundleClass, A: BundleClass) -> BundleClass:
 
 
 def chern_classes(E: BundleClass) -> list[ChowElement]:
-    """[c_0(E), ..., c_top(E)], split from the total Chern class in one pass."""
-    return E.total_chern._graded_parts()
+    """[c_0(E), ..., c_top(E)], the graded parts of the total Chern class."""
+    return [E.total_chern.graded_part(i) for i in range(E.space.total_dimension + 1)]
 
 
 def chern(E: BundleClass, i: int) -> ChowElement:

@@ -11,16 +11,25 @@ denominators and numerator lists coincide.  That costs N numerators per
 element whatever its sparsity: 8 to 16 on the fourfolds the pipeline uses.
 
 Products read one table per space, built on first use and kept for the life
-of the process: for each monomial, the monomials whose product with it stays
-inside the truncation, in ascending index order.  With lexicographic
-(mixed-radix) indexing, such a product has index i + j, so a product visits
-only those pairs and does integer multiply-adds; squaring visits each
-unordered pair once, from the table's lists of partners of larger index.  The
-public constructor checks an exponent vector in full only when its lookup
-misses or holds a non-int, reads int and Fraction coefficients as integer
-ratios, accumulates integer numerators over one lcm of the denominators and
-reduces once; ring operations build their results canonical directly and
-skip it.
+of the process: for each monomial, its partners (the monomials whose product
+with it stays inside the truncation) in ascending index order.  With
+lexicographic (mixed-radix) indexing, such a product has index i + j.  A
+space with at most ``_KERNEL_PAIRS`` partner pairs gets four integer kernels,
+generated from its table as straight-line source with one sum per output
+monomial and compiled on first use: the product, the triangular solve of a
+division, the binomial-weighted product of a twist and the powers of a
+linear class.  Their source holds only the table's integers (indices,
+degrees, multinomials), never input text.  Larger spaces keep the loops
+over partner pairs (``_LOOPS``): compiling costs about 4 to 7 us and 1 to
+2 kB of transient memory per pair, 4 to 8 ms and 1.2 to 1.9 MB per kernel at
+1000 to 1296 pairs, paid in set-up time and peak memory.  Squaring visits each
+unordered pair once, from the table's lists of partners of larger index.
+
+The public constructor checks an exponent vector in full only when its
+lookup misses or holds a non-int, reads int and Fraction coefficients as
+integer ratios, accumulates integer numerators over one lcm of the
+denominators and reduces once; ring operations build their results
+canonical directly and skip it.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
 H_1^{n_1} ... H_k^{n_k}, the last index N - 1.  Index i and index N - 1 - i
@@ -28,8 +37,8 @@ are complementary monomials (their exponent vectors sum to (n_1, ..., n_k)),
 which is Poincare duality in this ring (Fulton, Intersection Theory), so
 the integral of a product x * y is the dot product sum_i x_i y_{N-1-i},
 with no product class built; ``_dual_indices`` lists the complements that
-the degeneracy stage reads.  ``_graded_parts`` splits an element into all
-of its graded parts in one pass over its terms; ``_graded_texts`` prints them so.
+the degeneracy stage reads.  ``_graded_texts`` prints all of an element's
+graded parts in one pass over its terms.
 
 Division by an element with constant term 1, which is what division of
 total Chern classes amounts to in this ring, is one triangular solve of
@@ -60,7 +69,7 @@ import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
@@ -348,15 +357,7 @@ class ChowElement:
     def __mul__(self, other):
         if isinstance(other, ChowElement):
             self._check_space(other)
-            partners = _table(self._space.dims).partners
-            ys = other._nums
-            acc = [0] * len(ys)
-            for i, a in enumerate(self._nums):
-                if a:
-                    for j in partners[i]:
-                        b = ys[j]
-                        if b:
-                            acc[i + j] += a * b
+            acc = _kernel(self._space.dims, "mul")(self._nums, other._nums)
             return _reduced(self._space, acc, self._den * other._den)
         c = _scalar(other)
         if c is None:
@@ -411,15 +412,6 @@ class ChowElement:
             self._den,
         )
 
-    def _graded_parts(self) -> list["ChowElement"]:
-        """[graded_part(0), ..., graded_part(top)], from one pass over the terms."""
-        degrees = _table(self._space.dims).degrees
-        parts = [[0] * len(degrees) for _ in range(degrees[-1] + 1)]
-        for i, (v, d) in enumerate(zip(self._nums, degrees)):
-            if v:
-                parts[d][i] = v
-        return [_reduced(self._space, nums, self._den) for nums in parts]
-
     def _odd_negated(self) -> "ChowElement":
         """The image under every H_i -> -H_i: odd-degree terms change sign."""
         degrees = _table(self._space.dims).degrees
@@ -452,26 +444,19 @@ class ChowElement:
             raise NonUnitError(
                 f"cannot invert: degree-0 part is {unit.constant_term()}, not 1"
             )
-        table = _table(self._space.dims)
-        partners, degrees = table.partners, table.degrees
+        solve = _kernel(self._space.dims, "solve")
+        if e == 1:
+            scaled = [-v for v in qs]
+            scaled[0] = 0
+            return _reduced(self._space, solve(self._nums, scaled), self._den)
+        degrees = _table(self._space.dims).degrees
         top = degrees[-1]
         epow = [1]
         for _ in range(top):
             epow.append(epow[-1] * e)
         scaled = [0] + [-v * epow[g - 1] for v, g in zip(qs[1:], degrees[1:])]
-        if e == 1:
-            ws = list(self._nums)
-        else:
-            ws = [v * epow[g] for v, g in zip(self._nums, degrees)]
-        # Every push goes to a larger index, so enumerate reads each W_j complete.
-        for j, w in enumerate(ws):
-            if w:
-                for i in partners[j]:
-                    a = scaled[i]
-                    if a:
-                        ws[i + j] += a * w
-        if e != 1:
-            ws = [w * epow[top - g] for w, g in zip(ws, degrees)]
+        ws = solve([v * epow[g] for v, g in zip(self._nums, degrees)], scaled)
+        ws = [w * epow[top - g] for w, g in zip(ws, degrees)]
         return _reduced(self._space, ws, self._den * epow[top])
 
     def _twisted(self, line: "ChowElement", r: int) -> "ChowElement":
@@ -484,25 +469,17 @@ class ChowElement:
         """
         self._check_space(line)
         table = _table(self._space.dims)
-        partners, degrees = table.partners, table.degrees
-        top = degrees[-1]
+        top = table.degrees[-1]
         # l = sum_i L_i H_i / den, so l^m has the numerator (sum_i L_i H_i)^m
         # over den^m, that is den^{top - m} over den^top.
         den = line._den
-        powers = _linear_powers(
-            self._space,
+        powers = _kernel(self._space.dims, "powers")(
             [line._nums[i] for i in table.linear],
             [den ** (top - m) for m in range(top + 1)],
         )
-        binomials = [_binomials(r - g, top) for g in range(top + 1)]
-        acc = [0] * len(powers)
-        for i, a in enumerate(self._nums):
-            if a:
-                row = binomials[degrees[i]]
-                for j in partners[i]:
-                    q = powers[j]
-                    if q:
-                        acc[i + j] += a * row[degrees[j]] * q
+        # A term of degree g meets powers of l up to degree top - g only.
+        binomials = [_binomials(r - g, top - g) for g in range(top + 1)]
+        acc = _kernel(self._space.dims, "twist")(self._nums, powers, binomials)
         return _reduced(self._space, acc, self._den * den**top)
 
     # -- comparison and hashing --------------------------------------------
@@ -626,22 +603,128 @@ def _binomials(n: int, top: int) -> list[int]:
     return row
 
 
-def _linear_powers(space: ProductSpace, coeffs, weights: list[int]) -> list[int]:
+def _mul_loop(table: _Table, xs: list, ys: list) -> list[int]:
+    """Numerators of x * y, visiting each partner pair of nonzero terms."""
+    partners = table.partners
+    acc = [0] * len(ys)
+    for i, a in enumerate(xs):
+        if a:
+            for j in partners[i]:
+                b = ys[j]
+                if b:
+                    acc[i + j] += a * b
+    return acc
+
+
+def _solve_loop(table: _Table, ws: list, scaled: list) -> list[int]:
+    """W_k = ws_k + sum_{i > 0} scaled_i W_{k - i}, solved in index order;
+    scaled[0] must be 0, which the kernel ignores."""
+    partners = table.partners
+    ws = list(ws)
+    # Every push goes to a larger index, so enumerate reads each W_j complete.
+    for j, w in enumerate(ws):
+        if w:
+            for i in partners[j]:
+                a = scaled[i]
+                if a:
+                    ws[i + j] += a * w
+    return ws
+
+
+def _twist_loop(table: _Table, xs: list, powers: list, binomials: list) -> list[int]:
+    """sum over partner pairs (i, j) of x_i binomials[deg i][deg j] powers_j."""
+    partners, degrees = table.partners, table.degrees
+    acc = [0] * len(powers)
+    for i, a in enumerate(xs):
+        if a:
+            row = binomials[degrees[i]]
+            for j in partners[i]:
+                q = powers[j]
+                if q:
+                    acc[i + j] += a * row[degrees[j]] * q
+    return acc
+
+
+def _powers_loop(table: _Table, coeffs, weights: list) -> list[int]:
     """sum_m weights[m] l^m for l = sum_i coeffs[i] H_{i+1}, as a numerator list.
 
     The term H^e of l^{|e|} is |e|! / prod_i e_i! * prod_i coeffs[i]^{e_i},
     and each monomial belongs to one power of l, so one pass builds the sum.
     """
-    table = _table(space.dims)
     # prod_i coeffs[i]^{e_i} in index order, one factor at a time: the first
     # factor's exponent varies slowest, as in the lexicographic monomial order.
     powers = [1]
-    for c, n in zip(coeffs, space.dims):
+    for c, n in zip(coeffs, table.monomials[-1]):
         row = [c**e for e in range(n + 1)]
         powers = [p * q for p in powers for q in row]
-    return [
-        v * m * weights[s] for v, m, s in zip(powers, table.multinomials, table.degrees)
-    ]
+    return [v * m * weights[s] for v, m, s in zip(powers, table.multinomials, table.degrees)]
+
+
+_LOOPS = {"mul": _mul_loop, "solve": _solve_loop, "twist": _twist_loop, "powers": _powers_loop}
+
+# Spaces with at most this many partner pairs get generated kernels; the
+# pipeline's fourfolds have 30 to 81, the ring workload's spaces 784 to 1296.
+_KERNEL_PAIRS = 256
+
+# Each kernel's arguments, and the term that a partner pair (i, j) of
+# degrees (g, m) adds to output i + j.  In a twist, b{g}_{m} is
+# binomial(r - g, m).
+_ARGS = {"mul": "xy", "solve": "ws", "twist": "xpb", "powers": "cw"}
+_TERMS = {"mul": "x{i}*y{j}", "solve": "s{i}*w{j}", "twist": "x{i}*b{g}_{m}*p{j}"}
+
+
+def _names(prefix: str, count: int, suffix: str = "") -> str:
+    return "".join(f"{prefix}{i}{suffix}, " for i in range(count))
+
+
+def _source(table: _Table, name: str) -> str:
+    """Straight-line source of the kernel ``name``: one sum per output monomial.
+
+    It holds only the table's integers (indices, degrees and multinomials)
+    and returns what the loop ``_LOOPS[name]`` returns on the same arguments.
+    """
+    n, degrees = len(table.monomials), table.degrees
+    top = degrees[-1]
+    args = _ARGS[name]
+    if name == "powers":
+        # c{f}_{e} is coeffs[f]**e, by repeated products.
+        dims = table.monomials[-1]
+        lines = [f"{_names('c', len(dims), '_1')}= c", f"{_names('w', top + 1)}= w"]
+        for f, n_f in enumerate(dims):
+            lines += [f"c{f}_{e} = c{f}_{e - 1}*c{f}_1" for e in range(2, n_f + 1)]
+        terms = []
+        for m, d, c in zip(table.monomials, degrees, table.multinomials):
+            factors = [f"c{f}_{e}" for f, e in enumerate(m) if e] + [f"w{d}"]
+            terms.append("*".join([str(c)] * (c != 1) + factors))
+    else:
+        lines = [f"{_names(a, n)}= {a}" for a in args[:2]]
+        if name == "twist":
+            rows = (f"({_names(f'b{g}_', top + 1 - g)}), " for g in range(top + 1))
+            lines.append(f"{''.join(rows)}= b")
+        sums = [[] for _ in range(n)]
+        for i, row in enumerate(table.partners):
+            for j in row:
+                if i or name != "solve":
+                    sums[i + j].append(_TERMS[name].format(i=i, j=j, g=degrees[i], m=degrees[j]))
+        if name == "solve":
+            # In index order: each sum reads only finished W_j of smaller index.
+            lines += [f"w{k} += {' + '.join(s)}" for k, s in enumerate(sums) if s]
+            sums = [[f"w{k}"] for k in range(n)]
+        terms = [" + ".join(s) for s in sums]
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def {name}({', '.join(args)}):\n{body}    return [{', '.join(terms)}]\n"
+
+
+@cache
+def _kernel(dims: tuple[int, ...], name: str):
+    """The kernel ``name`` for one space: compiled from ``_source`` on first use
+    when the table has at most ``_KERNEL_PAIRS`` partner pairs, else the loop."""
+    table = _table(dims)
+    if sum(map(len, table.partners)) > _KERNEL_PAIRS:
+        return partial(_LOOPS[name], table)
+    namespace = {}
+    exec(compile(_source(table, name), f"<chow {name} {dims}>", "exec"), namespace)
+    return namespace[name]
 
 
 def _one_plus_linear_power(space: ProductSpace, coeffs, r: int) -> ChowElement:
@@ -651,4 +734,4 @@ def _one_plus_linear_power(space: ProductSpace, coeffs, r: int) -> ChowElement:
     an integer for negative r too.
     """
     lead = _binomials(r, space.total_dimension)
-    return _make(space, _linear_powers(space, coeffs, lead), 1)
+    return _make(space, _kernel(space.dims, "powers")(coeffs, lead), 1)

@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from degloci import (
     SpaceMismatchError,
     hyperplane,
 )
+from degloci import chow
 from degloci.bundles import chern_classes
 
 P13 = ProductSpace((1, 3))
@@ -193,11 +195,11 @@ def test_coefficients_reject_floats():
 @example(1 + H1 + Fraction(3, 2) * H2**2 + Fraction(1, 2) * H1 * H2**3)
 @given(spaces(KERNEL_SPACES).flatmap(lambda space: chow_elements(space, 10)))
 def test_graded_parts_split_the_element(x):
-    parts = x._graded_parts()
+    parts = [x.graded_part(d) for d in range(x.space.total_dimension + 1)]
     assert len(parts) == x.space.total_dimension + 1
     assert sum(parts, ChowElement.zero(x.space)) == x
     for d, part in enumerate(parts):
-        assert part == x.graded_part(d)
+        assert part.is_homogeneous(d)
 
 
 @pytest.mark.parametrize("space", KERNEL_SPACES, ids=str)
@@ -278,3 +280,92 @@ def test_dense_elements(space):
         assert x**3 == x * x * x
         assert x**4 == x * x * x * x
         assert ChowElement(space, dict(x.terms)) == x
+
+
+# Spaces of up to 100 partner pairs, all below chow._KERNEL_PAIRS: the
+# pipeline's four fourfolds, reordered factors, one factor and two of
+# dimension 5 and 6.
+_KERNEL_DIMS = ((1, 3), (3, 1), (2, 2), (1, 1, 2), (1, 2, 1), (1, 1, 1, 1), (4,), (2, 3), (3, 3))
+
+
+def _integers(rng: random.Random, count: int) -> list[int]:
+    """Zeros, small integers of both signs and numerators of about 4300 digits."""
+    big = 10**4299
+    return [rng.choice((0, rng.randint(-9, 9), rng.randint(-big, big))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("dims", _KERNEL_DIMS, ids=str)
+def test_kernels_match_their_loops(dims):
+    """Each generated kernel against the loop it replaces, on the same integers."""
+    rng = random.Random(f"kernels {dims}")
+    table = chow._table(dims)
+    n, top = len(table.monomials), table.degrees[-1]
+    for _ in range(10):
+        xs, ys = _integers(rng, n), _integers(rng, n)
+        r = rng.randint(-3, top)  # r - i < 0 for the terms of degree i > r
+        rows = [chow._binomials(r - g, top - g) for g in range(top + 1)]
+        cases = {
+            "mul": (xs, ys),
+            "solve": (xs, [0] + ys[1:]),
+            "twist": (xs, ys, rows),
+            "powers": (_integers(rng, len(dims)), _integers(rng, top + 1)),
+        }
+        for name, args in cases.items():
+            kernel = chow._kernel(dims, name)
+            assert not isinstance(kernel, partial)
+            before = [list(a) for a in args]
+            assert kernel(*args) == chow._LOOPS[name](table, *args)
+            assert [list(a) for a in args] == before
+
+
+def _operations(space: ProductSpace, rng: random.Random) -> list[ChowElement]:
+    """Products, divisions by units over 1 and over other denominators, twists
+    with negative r - i, and powers of linear classes, from seeded elements."""
+    monomials = list(product(*(range(n + 1) for n in space.dims)))
+    top = space.total_dimension
+
+    def element(dens, degrees=range(top + 1)):
+        """Numerators from _integers over denominators drawn from ``dens``."""
+        nums = _integers(rng, len(monomials))
+        pairs = zip(monomials, nums)
+        return ChowElement(
+            space, {e: Fraction(v, rng.choice(dens)) for e, v in pairs if sum(e) in degrees}
+        )
+
+    results = []
+    for _ in range(4):
+        x, y = element((1, 2, 3, 12)), element((1, 5))
+        positive = range(1, top + 1)
+        unit_one, unit_other = 1 + element((1,), positive), 1 + element((6, 35), positive)
+        assert unit_one._den == 1 and unit_other._den != 1
+        line = 1 + element((1, 4), (1,))
+        coeffs = tuple(rng.randint(-3, 3) for _ in space.dims)
+        for r in (rng.randint(-2, top), rng.randint(0, 2)):
+            results.append(x._twisted(line, r))
+            results.append(chow._one_plus_linear_power(space, coeffs, r))
+        results += [x * y, x._divided_by(unit_one), x._divided_by(unit_other)]
+        results.append(unit_other.invert_unit_series())
+    return results
+
+
+@pytest.mark.parametrize("dims", _KERNEL_DIMS, ids=str)
+def test_operations_agree_on_kernels_and_loops(dims, monkeypatch):
+    """The ring operations around the kernels, rerun with every space on the loops."""
+    space = ProductSpace(dims)
+    with_kernels = _operations(space, random.Random(f"operations {dims}"))
+    monkeypatch.setattr(chow, "_KERNEL_PAIRS", -1)
+    monkeypatch.setattr(chow, "_kernel", cache(chow._kernel.__wrapped__))
+    assert isinstance(chow._kernel(dims, "mul"), partial)
+    assert _operations(space, random.Random(f"operations {dims}")) == with_kernels
+
+
+def test_kernel_selection():
+    """(1,1,1,1) takes the kernels and (6,6) the loops; KERNEL_SPACES, which
+    the dense-kernel property draws from, has spaces on both sides."""
+    for name, loop in chow._LOOPS.items():
+        small = chow._kernel((1, 1, 1, 1), name)
+        assert small.__code__.co_filename == f"<chow {name} (1, 1, 1, 1)>"
+        large = chow._kernel((6, 6), name)
+        assert large.func is loop and large.args == (chow._table((6, 6)),)
+    paths = {isinstance(chow._kernel(s.dims, "mul"), partial) for s in KERNEL_SPACES}
+    assert paths == {True, False}

@@ -206,6 +206,10 @@ def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+    # Python's digit-limit text replaces a refusal's reason, except where
+    # the JSON parser's own message is quoted.
+    limit_text = err.getvalue().find("for integer string conversion")
+    assert limit_text == -1 or -1 < err.getvalue().find("not valid JSON: ") < limit_text
 
 
 def test_usage_errors_exit_1(capsys):
