@@ -14,16 +14,22 @@ Products read one table per space, built on first use and kept for the life
 of the process: for each monomial, its partners (the monomials whose product
 with it stays inside the truncation) in ascending index order.  With
 lexicographic (mixed-radix) indexing, such a product has index i + j.  A
-space with at most ``_KERNEL_PAIRS`` partner pairs gets four integer kernels,
-generated from its table as straight-line source with one sum per output
-monomial and compiled on first use: the product, the triangular solve of a
-division, the binomial-weighted product of a twist and the powers of a
-linear class.  Their source holds only the table's integers (indices,
-degrees, multinomials), never input text.  Larger spaces keep the loops
-over partner pairs (``_LOOPS``): compiling costs about 4 to 7 us and 1 to
-2 kB of transient memory per pair, 4 to 8 ms and 1.2 to 1.9 MB per kernel at
-1000 to 1296 pairs, paid in set-up time and peak memory.  Squaring visits each
-unordered pair once, from the table's lists of partners of larger index.
+space with at most ``_KERNEL_PAIRS`` (2048) partner pairs gets four integer
+kernels, generated from its table as straight-line source with one sum per
+output monomial and compiled on first use: the product, the triangular solve
+of a division, the binomial-weighted product of a twist and the powers of a
+linear class.  Powers of an element square through the product.  The
+kernels' source holds only the table's integers (indices, degrees,
+multinomials), never input text.  Each kernel is compiled in chunks of
+consecutive output monomials with at most about ``_CHUNK_PAIRS`` (512) pairs
+of terms: the solve passes its W list from chunk to chunk, the others
+concatenate their chunks' outputs, and a kernel of one chunk, such as any on
+the pipeline's fourfolds, is that chunk's function.  On a shared 2-vCPU
+host, a chunk of about 500 pairs takes about 1 ms to generate, 2.5 ms to
+compile and 620 kB of transient memory, against 1.2 MB for a 1000-pair
+kernel in one piece, paid in set-up time and peak memory.  Larger spaces,
+such as (9,9) with 3025 pairs, keep the loops over partner pairs
+(``_LOOPS``).
 
 The public constructor checks an exponent vector in full only when its
 lookup misses or holds a non-int, reads int and Fraction coefficients as
@@ -67,7 +73,6 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
@@ -122,8 +127,7 @@ class _Table:
     """The monomial basis of one space and its multiplication pattern."""
 
     __slots__ = (
-        "monomials", "index", "degrees", "multinomials", "partners", "squares", "above",
-        "linear", "labels",
+        "monomials", "index", "degrees", "multinomials", "partners", "linear", "labels",
     )
 
     def __init__(self, dims: tuple[int, ...]):
@@ -146,9 +150,6 @@ class _Table:
             [sum(p) for p in product(*(per[e] for per, e in zip(offsets, m)))]
             for m in self.monomials
         ]
-        # For squaring: whether i pairs with itself, and its partners j > i.
-        self.squares = [i in row for i, row in enumerate(self.partners)]
-        self.above = [row[bisect_right(row, i):] for i, row in enumerate(self.partners)]
         # The indices of H_1, ..., H_k: the strides of the mixed radix.
         self.linear = [offsets[i][0][1] for i in range(len(dims))]
         # The text of each monomial after its coefficient: "", "*H1", "*H1*H2^3".
@@ -380,24 +381,8 @@ class ChowElement:
                 result = base if result is None else result * base
             n >>= 1
             if n:
-                base = base._square()
+                base = base * base
         return ChowElement.one(self._space) if result is None else result
-
-    def _square(self) -> "ChowElement":
-        """self * self, visiting each unordered pair of monomials once."""
-        table = _table(self._space.dims)
-        xs = self._nums
-        acc = [0] * len(xs)
-        for i, (a, square, above) in enumerate(zip(xs, table.squares, table.above)):
-            if a:
-                if square:
-                    acc[i + i] += a * a
-                twice = a + a
-                for j in above:
-                    b = xs[j]
-                    if b:
-                        acc[i + j] += twice * b
-        return _reduced(self._space, acc, self._den * self._den)
 
     # -- grading and the degree map ----------------------------------------
 
@@ -662,9 +647,12 @@ def _powers_loop(table: _Table, coeffs, weights: list) -> list[int]:
 
 _LOOPS = {"mul": _mul_loop, "solve": _solve_loop, "twist": _twist_loop, "powers": _powers_loop}
 
-# Spaces with at most this many partner pairs get generated kernels; the
+# Spaces with at most this many partner pairs get generated kernels: the
 # pipeline's fourfolds have 30 to 81, the ring workload's spaces 784 to 1296.
-_KERNEL_PAIRS = 256
+_KERNEL_PAIRS = 2048
+# Each kernel is compiled in pieces of consecutive output monomials with at
+# most about this many pairs of terms, which bounds the compiler's memory.
+_CHUNK_PAIRS = 512
 
 # Each kernel's arguments, and the term that a partner pair (i, j) of
 # degrees (g, m) adds to output i + j.  In a twist, b{g}_{m} is
@@ -677,11 +665,14 @@ def _names(prefix: str, count: int, suffix: str = "") -> str:
     return "".join(f"{prefix}{i}{suffix}, " for i in range(count))
 
 
-def _source(table: _Table, name: str) -> str:
-    """Straight-line source of the kernel ``name``: one sum per output monomial.
+def _source(table: _Table, name: str, outputs: range) -> str:
+    """Straight-line source of the kernel ``name`` for the output monomials in
+    ``outputs``: one sum per output.
 
-    It holds only the table's integers (indices, degrees and multinomials)
-    and returns what the loop ``_LOOPS[name]`` returns on the same arguments.
+    It holds only the table's integers (indices, degrees and multinomials).
+    Over all outputs it returns what the loop ``_LOOPS[name]`` returns on the
+    same arguments; over a range, ``solve`` finishes the W_k in it and
+    returns the whole W list, and the other kernels return their outputs.
     """
     n, degrees = len(table.monomials), table.degrees
     top = degrees[-1]
@@ -693,38 +684,74 @@ def _source(table: _Table, name: str) -> str:
         for f, n_f in enumerate(dims):
             lines += [f"c{f}_{e} = c{f}_{e - 1}*c{f}_1" for e in range(2, n_f + 1)]
         terms = []
-        for m, d, c in zip(table.monomials, degrees, table.multinomials):
-            factors = [f"c{f}_{e}" for f, e in enumerate(m) if e] + [f"w{d}"]
+        for k in outputs:
+            m, c = table.monomials[k], table.multinomials[k]
+            factors = [f"c{f}_{e}" for f, e in enumerate(m) if e] + [f"w{degrees[k]}"]
             terms.append("*".join([str(c)] * (c != 1) + factors))
     else:
         lines = [f"{_names(a, n)}= {a}" for a in args[:2]]
         if name == "twist":
             rows = (f"({_names(f'b{g}_', top + 1 - g)}), " for g in range(top + 1))
             lines.append(f"{''.join(rows)}= b")
-        sums = [[] for _ in range(n)]
+        sums = {k: [] for k in outputs}
         for i, row in enumerate(table.partners):
             for j in row:
-                if i or name != "solve":
+                if i + j in outputs and (i or name != "solve"):
                     sums[i + j].append(_TERMS[name].format(i=i, j=j, g=degrees[i], m=degrees[j]))
         if name == "solve":
             # In index order: each sum reads only finished W_j of smaller index.
-            lines += [f"w{k} += {' + '.join(s)}" for k, s in enumerate(sums) if s]
-            sums = [[f"w{k}"] for k in range(n)]
-        terms = [" + ".join(s) for s in sums]
+            lines += [f"w{k} += {' + '.join(s)}" for k, s in sums.items() if s]
+            sums = {k: [f"w{k}"] for k in range(n)}
+        terms = [" + ".join(s) for s in sums.values()]
     body = "".join(f"    {line}\n" for line in lines)
     return f"def {name}({', '.join(args)}):\n{body}    return [{', '.join(terms)}]\n"
 
 
+def _chunks(table: _Table, name: str) -> list[range]:
+    """The output ranges that ``name`` is compiled in, in index order, each
+    with at most about ``_CHUNK_PAIRS`` pairs of terms; ``powers`` has one
+    term per output.  Output H^e sums over its divisors, prod_i (e_i + 1)."""
+    counts = [1 if name == "powers" else prod(e + 1 for e in m) for m in table.monomials]
+    chunks, start, total = [], 0, 0
+    for k, count in enumerate(counts):
+        if total + count > _CHUNK_PAIRS and k > start:
+            chunks.append(range(start, k))
+            start, total = k, 0
+        total += count
+    return chunks + [range(start, len(counts))]
+
+
+def _chained(name: str, parts: list):
+    """One kernel from the kernels of consecutive output ranges: ``solve``
+    passes its W list from each to the next, the others concatenate."""
+    if name == "solve":
+        def kernel(ws, scaled):
+            for part in parts:
+                ws = part(ws, scaled)
+            return ws
+    else:
+        def kernel(*args):
+            acc = []
+            for part in parts:
+                acc += part(*args)
+            return acc
+    return kernel
+
+
 @cache
 def _kernel(dims: tuple[int, ...], name: str):
-    """The kernel ``name`` for one space: compiled from ``_source`` on first use
-    when the table has at most ``_KERNEL_PAIRS`` partner pairs, else the loop."""
+    """The kernel ``name`` for one space: compiled from ``_source`` on first use,
+    one function per chunk, when the table has at most ``_KERNEL_PAIRS``
+    partner pairs, else the loop."""
     table = _table(dims)
     if sum(map(len, table.partners)) > _KERNEL_PAIRS:
         return partial(_LOOPS[name], table)
-    namespace = {}
-    exec(compile(_source(table, name), f"<chow {name} {dims}>", "exec"), namespace)
-    return namespace[name]
+    parts = []
+    for outputs in _chunks(table, name):
+        namespace = {}
+        exec(compile(_source(table, name, outputs), f"<chow {name} {dims}>", "exec"), namespace)
+        parts.append(namespace[name])
+    return parts[0] if len(parts) == 1 else _chained(name, parts)
 
 
 def _one_plus_linear_power(space: ProductSpace, coeffs, r: int) -> ChowElement:

@@ -39,10 +39,13 @@ PIPELINE_SPACES = (
     ProductSpace((1, 1, 1, 1)),
 )
 
+# The pipeline's spaces and ring_dense's take chow's generated kernels, the
+# last in several chunks; (9,9), with 3025 partner pairs, takes the loops.
 KERNEL_SPACES = PIPELINE_SPACES + (
     ProductSpace((3, 3, 3)),
     ProductSpace((6, 6)),
     ProductSpace((2, 2, 2, 2)),
+    ProductSpace((9, 9)),
 )
 
 def minimal_data(**overrides) -> dict:

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings
 
+from properties import _naive_mul, _naive_power
 from strategies import KERNEL_SPACES, chow_elements, spaces
 from degloci import (
     BundleClass,
@@ -266,9 +267,12 @@ def test_constructor_edge_cases():
 
 @pytest.mark.parametrize("space", KERNEL_SPACES + (ProductSpace((1, 3, 7)),), ids=str)
 def test_dense_elements(space):
-    """Whole rows of the multiplication table, which the property suites never fill."""
+    """Whole rows of the multiplication table, which the property suites never
+    fill.  Powers and products run one kernel, so a cube and an inverse are
+    also checked against a naive Fraction convolution."""
     rng = random.Random(f"dense {space.dims}")
     monomials = list(product(*(range(n + 1) for n in space.dims)))
+    one = {monomials[0]: 1}
     for _ in range(3):
         terms = {
             e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3, 4)))
@@ -276,16 +280,21 @@ def test_dense_elements(space):
         }
         x = ChowElement(space, terms)
         assert x.terms == terms
-        assert x._square() == x * x
         assert x**3 == x * x * x
         assert x**4 == x * x * x * x
+        assert dict((x**3).terms) == _naive_power(space.dims, terms, 3)
+        unit = ChowElement(space, {**terms, monomials[0]: 1})
+        inverse = unit.invert_unit_series()
+        assert _naive_mul(space.dims, unit.terms, inverse.terms) == one
         assert ChowElement(space, dict(x.terms)) == x
 
 
-# Spaces of up to 100 partner pairs, all below chow._KERNEL_PAIRS: the
+# Spaces of up to 100 partner pairs, each kernel one function: the
 # pipeline's four fourfolds, reordered factors, one factor and two of
-# dimension 5 and 6.
+# dimension 5 and 6.  ring_dense's spaces have 784 to 1296 pairs, all within
+# chow._KERNEL_PAIRS, and compile their products, solves and twists in chunks.
 _KERNEL_DIMS = ((1, 3), (3, 1), (2, 2), (1, 1, 2), (1, 2, 1), (1, 1, 1, 1), (4,), (2, 3), (3, 3))
+_CHUNKED_DIMS = ((3, 3, 3), (6, 6), (2, 2, 2, 2))
 
 
 def _integers(rng: random.Random, count: int) -> list[int]:
@@ -294,13 +303,13 @@ def _integers(rng: random.Random, count: int) -> list[int]:
     return [rng.choice((0, rng.randint(-9, 9), rng.randint(-big, big))) for _ in range(count)]
 
 
-@pytest.mark.parametrize("dims", _KERNEL_DIMS, ids=str)
+@pytest.mark.parametrize("dims", _KERNEL_DIMS + _CHUNKED_DIMS, ids=str)
 def test_kernels_match_their_loops(dims):
     """Each generated kernel against the loop it replaces, on the same integers."""
     rng = random.Random(f"kernels {dims}")
     table = chow._table(dims)
     n, top = len(table.monomials), table.degrees[-1]
-    for _ in range(10):
+    for _ in range(3 if dims in _CHUNKED_DIMS else 10):
         xs, ys = _integers(rng, n), _integers(rng, n)
         r = rng.randint(-3, top)  # r - i < 0 for the terms of degree i > r
         rows = [chow._binomials(r - g, top - g) for g in range(top + 1)]
@@ -348,7 +357,7 @@ def _operations(space: ProductSpace, rng: random.Random) -> list[ChowElement]:
     return results
 
 
-@pytest.mark.parametrize("dims", _KERNEL_DIMS, ids=str)
+@pytest.mark.parametrize("dims", _KERNEL_DIMS + ((6, 6),), ids=str)
 def test_operations_agree_on_kernels_and_loops(dims, monkeypatch):
     """The ring operations around the kernels, rerun with every space on the loops."""
     space = ProductSpace(dims)
@@ -360,12 +369,18 @@ def test_operations_agree_on_kernels_and_loops(dims, monkeypatch):
 
 
 def test_kernel_selection():
-    """(1,1,1,1) takes the kernels and (6,6) the loops; KERNEL_SPACES, which
-    the dense-kernel property draws from, has spaces on both sides."""
+    """(1,1,1,1) compiles each kernel as one function, ring_dense's spaces
+    compile mul, solve and twist in several chunks and powers in one, and
+    (9,9), above _KERNEL_PAIRS, takes the loops; KERNEL_SPACES, which the
+    dense-kernel property draws from, has spaces on both sides."""
     for name, loop in chow._LOOPS.items():
         small = chow._kernel((1, 1, 1, 1), name)
         assert small.__code__.co_filename == f"<chow {name} (1, 1, 1, 1)>"
-        large = chow._kernel((6, 6), name)
-        assert large.func is loop and large.args == (chow._table((6, 6)),)
+        for dims in _CHUNKED_DIMS:
+            assert not isinstance(chow._kernel(dims, name), partial)
+            chunks = chow._chunks(chow._table(dims), name)
+            assert (len(chunks) > 1) == (name != "powers")
+        large = chow._kernel((9, 9), name)
+        assert large.func is loop and large.args == (chow._table((9, 9)),)
     paths = {isinstance(chow._kernel(s.dims, "mul"), partial) for s in KERNEL_SPACES}
     assert paths == {True, False}
