@@ -23,10 +23,10 @@ and a kernel or difference is one division; none takes repeated products.
 
 from __future__ import annotations
 
-from .chow import ChowElement, ProductSpace, _one_plus_linear_power
+from .chow import _INT, ChowElement, ProductSpace, _one_plus_linear_power
 from .errors import RankError, SpaceMismatchError
 from .exact import message_text
-from .record import Record, _set
+from .record import Record, _setters
 
 
 class BundleClass(Record):
@@ -50,22 +50,25 @@ class BundleClass(Record):
                 "total Chern class must have degree-0 part 1, got "
                 f"{total_chern.constant_term()}"
             )
-        _set(self, "space", space)
-        _set(self, "rank", rank)
-        _set(self, "total_chern", total_chern)
+        _set_space(self, space)
+        _set_rank(self, rank)
+        _set_total_chern(self, total_chern)
+
+
+_set_space, _set_rank, _set_total_chern = _setters(BundleClass)
 
 
 def _bundle(space: ProductSpace, rank: int, total_chern: ChowElement) -> BundleClass:
     """An operation's result, unchecked: ring operations keep a unit on its space."""
     E = object.__new__(BundleClass)
-    _set(E, "space", space)
-    _set(E, "rank", rank)
-    _set(E, "total_chern", total_chern)
+    _set_space(E, space)
+    _set_rank(E, rank)
+    _set_total_chern(E, total_chern)
     return E
 
 
 def _check_same_space(E: BundleClass, F: BundleClass):
-    if E.space != F.space:
+    if E.space is not F.space and E.space != F.space:
         raise SpaceMismatchError(
             f"bundles live on different spaces: {E.space} vs {F.space}"
         )
@@ -76,13 +79,14 @@ def line_bundle(
 ) -> BundleClass:
     """O(a_1,...,a_k)^m: rank m with total Chern class (1 + sum a_i H_i)^m."""
     degrees = tuple(degrees)
-    if len(degrees) != space.num_factors:
-        raise ValueError(
-            f"expected {space.num_factors} twisting degrees, got {len(degrees)}"
-        )
-    for a in degrees:
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise ValueError(f"twisting degrees must be integers, got {a!r}")
+    k = len(space.dims)
+    if len(degrees) != k:
+        raise ValueError(f"expected {k} twisting degrees, got {len(degrees)}")
+    # One pass over the types; the loop runs only for an entry that is not an int.
+    if not _INT.issuperset(map(type, degrees)):
+        for a in degrees:
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise ValueError(f"twisting degrees must be integers, got {a!r}")
     if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity <= 0:
         raise ValueError(
             "multiplicity must be a positive integer, got "

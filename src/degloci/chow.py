@@ -53,7 +53,8 @@ smaller index.  ``invert_unit_series`` is that solve with x = 1.  Powers
 (1 + l)^r of a linear class, for any integer r, come from the binomial
 series in one pass over the monomials, and the twist sum
 sum_i c_i (1 + l)^{r - i} of Fulton, Intersection Theory, Ex. 3.2.2, is one
-product of c with the powers of l, weighted by a table of binomials.
+product of c with the powers of l, weighted by a table of binomials; both
+read the rows binomial(n, 0..top) from a bounded cache of tuples, ``_binomials``.
 
 The text form prints each nonzero term as its coefficient followed by the
 monomial's label (``*H1*H2^3``), read from the same table; a term's fraction
@@ -74,7 +75,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
@@ -82,7 +83,7 @@ from typing import Mapping
 
 from .errors import NonUnitError, SpaceMismatchError
 from .exact import as_fraction, message_text
-from .record import Record, _set
+from .record import Record, _setters
 
 
 class ProductSpace(Record):
@@ -100,7 +101,7 @@ class ProductSpace(Record):
                     "factor dimensions must be positive integers, "
                     f"got {message_text(n, repr)}"
                 )
-        _set(self, "dims", dims)
+        self._fill(dims)
 
     # Spaces are compared on every bundle operation: compare dims directly.
     def __eq__(self, other):
@@ -168,9 +169,9 @@ _new = object.__new__
 def _make(space: ProductSpace, nums: list, den: int) -> "ChowElement":
     """Wrap numerators over a denominator that are already in lowest terms."""
     x = _new(ChowElement)
-    _set(x, "_space", space)
-    _set(x, "_nums", nums)
-    _set(x, "_den", den)
+    _set_space(x, space)
+    _set_nums(x, nums)
+    _set_den(x, den)
     return x
 
 
@@ -259,9 +260,9 @@ class ChowElement:
             nums[i] += p * (den // q)
         # Terms of one monomial can cancel, so the sums may share a factor with den.
         nums, den = _lowest(nums, den)
-        _set(self, "_space", space)
-        _set(self, "_nums", nums)
-        _set(self, "_den", den)
+        _set_space(self, space)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
@@ -541,6 +542,9 @@ class ChowElement:
         return cls(space, terms)
 
 
+_set_space, _set_nums, _set_den = _setters(ChowElement)
+
+
 @cache
 def _dual_indices(dims: tuple[int, ...]) -> tuple[list, list, list]:
     """Where a class of degree at most 2 meets its complements, for pairings.
@@ -580,12 +584,13 @@ def hyperplane(space: ProductSpace, i: int) -> ChowElement:
     return _make(space, nums, 1)
 
 
-def _binomials(n: int, top: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _binomials(n: int, top: int) -> tuple[int, ...]:
     """binomial(n, s) for s = 0..top; n may be any integer, negative too."""
     row = [1]
     for s in range(top):
         row.append(row[-1] * (n - s) // (s + 1))
-    return row
+    return tuple(row)
 
 
 def _mul_loop(table: _Table, xs: list, ys: list) -> list[int]:
@@ -760,5 +765,4 @@ def _one_plus_linear_power(space: ProductSpace, coeffs, r: int) -> ChowElement:
     By the binomial series this is sum_m binomial(r, m) l^m; the binomial is
     an integer for negative r too.
     """
-    lead = _binomials(r, space.total_dimension)
-    return _make(space, _kernel(space.dims, "powers")(coeffs, lead), 1)
+    return _make(space, _kernel(space.dims, "powers")(coeffs, _binomials(r, sum(space.dims))), 1)

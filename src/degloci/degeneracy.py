@@ -83,7 +83,7 @@ class DegeneracyInput(Record):
                 f"{message_text(space.total_dimension)}"
             )
         for part in (tangent_c1, tangent_c2, A.total_chern, B.total_chern):
-            if part.space != space:
+            if part._space is not space and part._space != space:
                 raise SpaceMismatchError("all inputs must live on the ambient space")
         if not tangent_c1.is_homogeneous(1):
             raise ValueError("tangent_c1 must be homogeneous of degree 1")

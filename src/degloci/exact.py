@@ -72,11 +72,12 @@ def decimal_text(q: Fraction, significant_digits: int = 6) -> str:
     """
     if significant_digits < 1:
         raise ValueError("significant_digits must be >= 1")
-    if q.denominator == 1 and abs(q.numerator) < 10**significant_digits:
-        return str(q.numerator)
+    n, d = q.as_integer_ratio()
+    if d == 1 and abs(n) < 10**significant_digits:
+        return str(n)
     ctx = _DECIMAL_CONTEXT.copy()
     ctx.prec = significant_digits
-    return ctx.to_sci_string(ctx.divide(q.numerator, q.denominator))
+    return ctx.to_sci_string(ctx.divide(n, d))
 
 
 def message_text(value, convert=str) -> str:

@@ -16,9 +16,10 @@ AST with one node type per kind of leaf and one, ``Apply``, for operators:
 >>> parse_expression("twist(E, O(0,2))")
 Apply(op='twist', args=(NameRef(name='E'), LineBundleExpr(degrees=(0, 2), multiplicity=1)))
 
-A text is split into its tokens by one regular-expression call and parsed
-from that list by index; where each token starts is worked out only when an
-error message names it.
+A text is split into its tokens, a leaf with no blanks as one, by one
+regular-expression call and parsed from that list by index.  Errors are
+worded from a split into one token per symbol; where each token starts is
+worked out only when an error message names it.
 
 Evaluation maps an AST to a BundleClass through a caller-supplied resolver
 for names.  An expression may nest at most ``MAX_DEPTH`` levels deep
@@ -37,12 +38,15 @@ from . import bundles
 from .bundles import BundleClass
 from .chow import ProductSpace
 from .errors import ExpressionError
-from .record import Record, _set
+from .record import Record, _setters
 
 # One token after optional blanks.  Splitting a text on this pattern leaves
 # the tokens at odd indices; the pieces between them are empty or blanks
 # unless the text holds a character no token starts with.
 _TOKEN_RE = re.compile(r"\s*(-?\d+|[A-Za-z_][A-Za-z0-9_]*|->|[(),^])")
+# The same tokens, but first a leaf with no blanks in it as one token; a
+# multiplicity of 0 is left to the per-symbol split to refuse.
+_LEAF_TOKEN_RE = re.compile(r"\s*(O\(-?\d+(?:,-?\d+)*\)(?:\^0*[1-9]\d*)?|" + _TOKEN_RE.pattern[4:])
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SYMBOLS = frozenset({"(", ")", ",", "^", "->"})
 
@@ -65,24 +69,28 @@ class LineBundleExpr(Record):
     __slots__ = ("degrees", "multiplicity")
 
     def __init__(self, degrees: tuple[int, ...], multiplicity: int):
-        _set(self, "degrees", degrees)
-        _set(self, "multiplicity", multiplicity)
+        _set_degrees(self, degrees)
+        _set_multiplicity(self, multiplicity)
 
 
 class NameRef(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _set_name(self, name)
 
 
 class Apply(Record):
     __slots__ = ("op", "args")
 
     def __init__(self, op: str, args: tuple[Expression, ...]):
-        _set(self, "op", op)
-        _set(self, "args", args)
+        _set_op(self, op)
+        _set_args(self, args)
 
+
+_set_degrees, _set_multiplicity = _setters(LineBundleExpr)
+(_set_name,) = _setters(NameRef)
+_set_op, _set_args = _setters(Apply)
 
 Expression = Union[LineBundleExpr, NameRef, Apply]
 
@@ -91,10 +99,18 @@ def parse_expression(text: str) -> Expression:
     """Parse an expression string to its AST, raising ExpressionError on bad input."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError(f"expected a nonempty expression string, got {text!r}")
-    pieces = _TOKEN_RE.split(text)
+    pieces = _LEAF_TOKEN_RE.split(text)
+    # Both patterns leave the same characters out, so this test serves both.
     if "".join(pieces[::2]).strip():
         raise _bad_character(text)
-    tokens = pieces[1::2]
+    try:
+        return _parse_all(text, pieces[1::2])
+    except ValueError:  # an ExpressionError, or int() of a too-long leaf number
+        pass  # worded below, from one token per symbol
+    return _parse_all(text, _TOKEN_RE.split(text)[1::2])
+
+
+def _parse_all(text: str, tokens: list[str]) -> Expression:
     tokens.append("")  # the end: no token is empty
     expr, i = _parse(text, tokens, 0, 1)
     if tokens[i]:
@@ -117,6 +133,9 @@ def _parse(text: str, tokens: list[str], i: int, depth: int) -> tuple[Expression
                 f"{_position(text, i)}"
             )
         raise _unexpected(text, tokens, i, "expected an expression")
+    if head[1:2] == "(":  # a whole leaf token: no other token holds "(" after a letter
+        degrees, _, power = head[2:].partition(")")
+        return LineBundleExpr(tuple(map(int, degrees.split(","))), int(power[1:] or 1)), i + 1
     if head == "O":
         return _parse_line_bundle(text, tokens, i + 1)
     operator = _OPERATORS.get(head)

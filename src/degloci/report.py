@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from .chow import ChowElement
 from .errors import ScenarioError
 from .exact import decimal_text
-from .record import Record, _set
+from .record import Record, _setters
 
 
 class ReportEntry(Record):
@@ -33,19 +33,20 @@ class ReportEntry(Record):
     __slots__ = ("key", "kind", "exact", "decimal")
 
     def __init__(self, key: str, kind: str, exact: str | None, decimal: str | None = None):
-        _set(self, "key", key)
-        _set(self, "kind", kind)
-        _set(self, "exact", exact)
-        _set(self, "decimal", decimal)
+        _set_key(self, key)
+        _set_kind(self, kind)
+        _set_exact(self, exact)
+        _set_decimal(self, decimal)
+
+
+_set_key, _set_kind, _set_exact, _set_decimal = _setters(ReportEntry)
 
 
 class CheckResult(Record):
     __slots__ = ("key", "passed", "detail")
 
     def __init__(self, key: str, passed: bool, detail: str):
-        _set(self, "key", key)
-        _set(self, "passed", passed)
-        _set(self, "detail", detail)
+        self._fill(key, passed, detail)
 
 
 class Report(Record):

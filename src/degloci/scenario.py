@@ -122,18 +122,22 @@ def _fail(where: str | None, message: str) -> NoReturn:
     raise ScenarioError(f"{where}: {message}" if where else message)
 
 
+# Per object of fixed keys, the set of its required keys and of all its keys.
+_KEY_SETS = {w: (frozenset(r), frozenset(r + o)) for w, (r, o) in _OBJECT_KEYS.items()}
+
+
 def _as_object(value, where: str | None) -> dict:
     """An object, with no unknown and no missing key if its keys are fixed."""
     if not isinstance(value, dict):
         _fail(where, f"expected an object, got {type(value).__name__}")
-    if where in _OBJECT_KEYS:
+    # Two set comparisons; the keys at fault are listed only for a refusal.
+    if where in _KEY_SETS and not _KEY_SETS[where][0] <= value.keys() <= _KEY_SETS[where][1]:
         required, optional = _OBJECT_KEYS[where]
         unknown = sorted(set(value) - set(required) - set(optional))
         if unknown:
             _fail(where, f"unknown key(s) {', '.join(map(repr, unknown))}")
         missing = [k for k in required if k not in value]
-        if missing:
-            _fail(where, f"missing required key(s) {', '.join(map(repr, missing))}")
+        _fail(where, f"missing required key(s) {', '.join(map(repr, missing))}")
     return value
 
 
@@ -182,7 +186,7 @@ def _reject_float(text: str):
     )
 
 
-class _stage:
+class _Stage:
     """A context that relabels a ValueError or ZeroDivisionError from an inner
     module as a ScenarioError naming the stage; a ScenarioError passes through."""
 
@@ -197,6 +201,10 @@ class _stage:
         relabel = isinstance(exc, (ValueError, ZeroDivisionError))
         if relabel and not isinstance(exc, ScenarioError):
             raise ScenarioError(f"{self.label}: {exc}") from exc
+
+
+# A stage's context holds only its label, so one per label serves every use.
+_stage = cache(_Stage)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -325,6 +326,24 @@ def test_kernels_match_their_loops(dims):
             before = [list(a) for a in args]
             assert kernel(*args) == chow._LOOPS[name](table, *args)
             assert [list(a) for a in args] == before
+
+
+def test_binomial_rows_are_exact_immutable_and_cached_in_a_bounded_store():
+    """Each row of ``_binomials`` against math.comb, extended to negative n by
+    binomial(n, s) = (-1)^s binomial(s - n - 1, s)."""
+
+    def binomial(n: int, s: int) -> int:
+        return comb(n, s) if n >= 0 else (-1) ** s * comb(s - n - 1, s)
+
+    for n in range(-40, 41):
+        for top in range(10):
+            row = chow._binomials(n, top)
+            # A tuple: no caller can change a row that later callers share.
+            assert type(row) is tuple
+            assert row == tuple(binomial(n, s) for s in range(top + 1))
+            assert chow._binomials(n, top) is row
+    info = chow._binomials.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 81 * 10
 
 
 def _operations(space: ProductSpace, rng: random.Random) -> list[ChowElement]:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as stg
@@ -182,8 +182,21 @@ def test_base_change_refusal_keeps_its_reason_for_a_long_number(tmp_path, capsys
     )
 
 
+# The sum base_delta0 + 1/2 has a numerator of 4301 digits, too long to print,
+# in the refusal of the delta degrees; the generator rarely reaches it.
+_LONG_DELTA_SUM = json.dumps(
+    stg.minimal_data(
+        base_change={
+            **BASE_CHANGE, "base_lambda": 2, "base_delta0": "9" * 4300,
+            "base_delta_rest": ["1/2"],
+        }
+    )
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(stg.hostile_scenario_texts(), st.sampled_from(sorted(RENDERERS)))
+@example(_LONG_DELTA_SUM, "exact")
 def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(
     tmp_path_factory, text, output_format
 ):

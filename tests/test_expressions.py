@@ -4,7 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from degloci import (
     ExpressionError,
@@ -20,11 +21,14 @@ from degloci import (
 )
 from degloci.expressions import (
     _KEYWORDS,
+    _LEAF_TOKEN_RE,
     _OPERATORS,
+    _TOKEN_RE,
     MAX_DEPTH,
     Apply,
     LineBundleExpr,
     NameRef,
+    _parse_all,
 )
 from strategies import expression_texts, printed_expressions
 
@@ -98,6 +102,14 @@ PARSE_ERRORS = [
     ("sum(E, 3)", "expected an expression at position 7 in 'sum(E, 3)', got '3'"),
     (f"O(0,{_BIG})", "integer literal at position 4 has more than 4300 digits"),
     (f"O(1,0)^{_BIG}", "integer literal at position 7 has more than 4300 digits"),
+    # Errors right after a complete leaf, which the tokenizer reads as one token:
+    # the message still names the token and position of the per-symbol split.
+    ("sum(O(1,0) O(0,1))", "expected ',' at position 11 in 'sum(O(1,0) O(0,1))', got 'O'"),
+    (
+        "sum(O(1,0)^2O(0,1), E)",
+        "expected ',' at position 12 in 'sum(O(1,0)^2O(0,1), E)', got 'O'",
+    ),
+    ("O(1,0)(", "unexpected trailing '(' at position 6 in 'O(1,0)('"),
 ]
 
 
@@ -113,6 +125,42 @@ def test_parse_errors():
 def test_parse_printed_ast_round_trip(case):
     expr, text = case
     assert parse_expression(text) == expr
+
+
+# Whole leaves, their neighbours and malformed multiplicities, joined with no
+# blanks or with some.
+_LEAF_PIECES = [
+    "O(1,0)", "O(-2,3)^4", "O(0,0)^0", "O(1,0)^01", "O(7)", "sum(", "dual(", "twist(",
+    "ker(", ",", " ", "->", "(", ")", "^", "2", "-1", "E", "O",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        expression_texts,
+        printed_expressions().map(lambda case: case[1]),
+        st.lists(st.sampled_from(_LEAF_PIECES), max_size=12).map("".join),
+    )
+)
+@example("O(0,0)^0")
+@example("sum(O(1,0)^2^3, E)")
+@example("twist(O(1,-1)^01,O(0,2))")
+def test_whole_leaf_tokens_agree_with_the_per_symbol_split(text):
+    """Reading each blank-free leaf as one token gives the AST, or the error,
+    that parsing the split into one token per symbol gives."""
+    pieces = _TOKEN_RE.split(text)
+    # Both splits leave out the same characters, so both find a bad one.
+    assert "".join(_LEAF_TOKEN_RE.split(text)[::2]) == "".join(pieces[::2])
+    assume(text.strip() and not "".join(pieces[::2]).strip())
+
+    def outcome(parse, *args):
+        try:
+            return parse(*args)
+        except ExpressionError as exc:
+            return str(exc)
+
+    assert outcome(parse_expression, text) == outcome(_parse_all, text, pieces[1::2])
 
 
 @settings(max_examples=200, deadline=None)
