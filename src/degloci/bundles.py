@@ -40,7 +40,7 @@ class BundleClass(Record):
 
     def __init__(self, space: ProductSpace, rank: int, total_chern: ChowElement):
         if not isinstance(rank, int) or isinstance(rank, bool):
-            raise TypeError(f"rank must be an integer, got {rank!r}")
+            raise TypeError(f"rank must be an integer, got {message_text(rank, repr)}")
         if total_chern.space is not space and total_chern.space != space:
             raise SpaceMismatchError(
                 "total Chern class lives on a different space than the bundle"
@@ -86,7 +86,9 @@ def line_bundle(
     if not _INT.issuperset(map(type, degrees)):
         for a in degrees:
             if not isinstance(a, int) or isinstance(a, bool):
-                raise ValueError(f"twisting degrees must be integers, got {a!r}")
+                raise ValueError(
+                    f"twisting degrees must be integers, got {message_text(a, repr)}"
+                )
     if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity <= 0:
         raise ValueError(
             "multiplicity must be a positive integer, got "
@@ -166,5 +168,8 @@ def chern_classes(E: BundleClass) -> list[ChowElement]:
 def chern(E: BundleClass, i: int) -> ChowElement:
     """The i-th Chern class, the degree-i part of the total Chern class."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise ValueError(f"Chern-class index must be a nonnegative integer, got {i!r}")
+        raise ValueError(
+            "Chern-class index must be a nonnegative integer, "
+            f"got {message_text(i, repr)}"
+        )
     return E.total_chern.graded_part(i)

@@ -14,22 +14,25 @@ Products read one table per space, built on first use and kept for the life
 of the process: for each monomial, its partners (the monomials whose product
 with it stays inside the truncation) in ascending index order.  With
 lexicographic (mixed-radix) indexing, such a product has index i + j.  A
-space with at most ``_KERNEL_PAIRS`` (2048) partner pairs gets four integer
+space with at most ``_KERNEL_PAIRS`` (2048) partner pairs gets five integer
 kernels, generated from its table as straight-line source with one sum per
-output monomial and compiled on first use: the product, the triangular solve
-of a division, the binomial-weighted product of a twist and the powers of a
-linear class.  Powers of an element square through the product.  The
+output monomial and compiled on first use: the product, the square, the
+triangular solve of a division, the binomial-weighted product of a twist and
+the powers of a linear class.  The square multiplies each unordered partner
+pair once, doubling the sum of the pairs i < j and adding the diagonal x_i^2,
+so a power's squarings cost about half the products of ``x * x``; only the
+product ``result * base`` of an odd exponent takes the product kernel.  The
 kernels' source holds only the table's integers (indices, degrees,
 multinomials), never input text.  Each kernel is compiled in chunks of
 consecutive output monomials with at most about ``_CHUNK_PAIRS`` (512) pairs
-of terms: the solve passes its W list from chunk to chunk, the others
-concatenate their chunks' outputs, and a kernel of one chunk, such as any on
-the pipeline's fourfolds, is that chunk's function.  On a shared 2-vCPU
-host, a chunk of about 500 pairs takes about 1 ms to generate, 2.5 ms to
-compile and 620 kB of transient memory, against 1.2 MB for a 1000-pair
-kernel in one piece, paid in set-up time and peak memory.  Larger spaces,
-such as (9,9) with 3025 pairs, keep the loops over partner pairs
-(``_LOOPS``).
+of terms, counted as unordered pairs for the square: the solve passes its W
+list from chunk to chunk, the others concatenate their chunks' outputs, and a
+kernel of one chunk, such as any on the pipeline's fourfolds, is that chunk's
+function.  On a shared 2-vCPU host, a chunk of about 500 pairs takes about
+1 ms to generate, 2.5 ms to compile and 620 kB of transient memory, against
+1.2 MB for a 1000-pair kernel in one piece, paid in set-up time and peak
+memory.  Larger spaces, such as (9,9) with 3025 pairs, keep the loops over
+partner pairs (``_LOOPS``), where a square is the product loop on x and x.
 
 The public constructor checks an exponent vector in full only when its
 lookup misses or holds a non-int, reads int and Fraction coefficients as
@@ -373,7 +376,9 @@ class ChowElement:
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+            raise ValueError(
+                f"exponent must be a nonnegative integer, got {message_text(exponent, repr)}"
+            )
         result = None
         base = self
         n = exponent
@@ -382,7 +387,8 @@ class ChowElement:
                 result = base if result is None else result * base
             n >>= 1
             if n:
-                base = base * base
+                square = _kernel(base._space.dims, "square")(base._nums)
+                base = _reduced(base._space, square, base._den * base._den)
         return ChowElement.one(self._space) if result is None else result
 
     # -- grading and the degree map ----------------------------------------
@@ -390,7 +396,9 @@ class ChowElement:
     def graded_part(self, degree: int) -> "ChowElement":
         """The sum of terms of the given total degree."""
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-            raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
+            raise ValueError(
+                f"degree must be a nonnegative integer, got {message_text(degree, repr)}"
+            )
         degrees = _table(self._space.dims).degrees
         return _reduced(
             self._space,
@@ -576,7 +584,8 @@ def hyperplane(space: ProductSpace, i: int) -> ChowElement:
     """The hyperplane class H_i of the i-th factor (1-based index)."""
     if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= space.num_factors:
         raise ValueError(
-            f"factor index must be between 1 and {space.num_factors}, got {i!r}"
+            f"factor index must be between 1 and {space.num_factors}, "
+            f"got {message_text(i, repr)}"
         )
     table = _table(space.dims)
     nums = [0] * len(table.monomials)
@@ -604,6 +613,11 @@ def _mul_loop(table: _Table, xs: list, ys: list) -> list[int]:
                 if b:
                     acc[i + j] += a * b
     return acc
+
+
+def _square_loop(table: _Table, xs: list) -> list[int]:
+    """Numerators of x * x, by the product loop."""
+    return _mul_loop(table, xs, xs)
 
 
 def _solve_loop(table: _Table, ws: list, scaled: list) -> list[int]:
@@ -650,7 +664,10 @@ def _powers_loop(table: _Table, coeffs, weights: list) -> list[int]:
     return [v * m * weights[s] for v, m, s in zip(powers, table.multinomials, table.degrees)]
 
 
-_LOOPS = {"mul": _mul_loop, "solve": _solve_loop, "twist": _twist_loop, "powers": _powers_loop}
+_LOOPS = {
+    "mul": _mul_loop, "square": _square_loop, "solve": _solve_loop,
+    "twist": _twist_loop, "powers": _powers_loop,
+}
 
 # Spaces with at most this many partner pairs get generated kernels: the
 # pipeline's fourfolds have 30 to 81, the ring workload's spaces 784 to 1296.
@@ -662,7 +679,7 @@ _CHUNK_PAIRS = 512
 # Each kernel's arguments, and the term that a partner pair (i, j) of
 # degrees (g, m) adds to output i + j.  In a twist, b{g}_{m} is
 # binomial(r - g, m).
-_ARGS = {"mul": "xy", "solve": "ws", "twist": "xpb", "powers": "cw"}
+_ARGS = {"mul": "xy", "square": "x", "solve": "ws", "twist": "xpb", "powers": "cw"}
 _TERMS = {"mul": "x{i}*y{j}", "solve": "s{i}*w{j}", "twist": "x{i}*b{g}_{m}*p{j}"}
 
 
@@ -693,6 +710,20 @@ def _source(table: _Table, name: str, outputs: range) -> str:
             m, c = table.monomials[k], table.multinomials[k]
             factors = [f"c{f}_{e}" for f, e in enumerate(m) if e] + [f"w{degrees[k]}"]
             terms.append("*".join([str(c)] * (c != 1) + factors))
+    elif name == "square":
+        # Each unordered partner pair once: x{i}*x{j} and x{j}*x{i} are one
+        # product doubled, and a diagonal pair (2i = k) is one product.
+        lines = [f"{_names('x', n)}= x"]
+        pairs = {k: [] for k in outputs}
+        diagonal = {k: [] for k in outputs}
+        for i, row in enumerate(table.partners):
+            for j in row:
+                if i <= j and i + j in outputs:
+                    (pairs if i < j else diagonal)[i + j].append(f"x{i}*x{j}")
+        terms = [
+            " + ".join([f"2*({' + '.join(pairs[k])})"] * bool(pairs[k]) + diagonal[k])
+            for k in outputs
+        ]
     else:
         lines = [f"{_names(a, n)}= {a}" for a in args[:2]]
         if name == "twist":
@@ -715,8 +746,13 @@ def _source(table: _Table, name: str, outputs: range) -> str:
 def _chunks(table: _Table, name: str) -> list[range]:
     """The output ranges that ``name`` is compiled in, in index order, each
     with at most about ``_CHUNK_PAIRS`` pairs of terms; ``powers`` has one
-    term per output.  Output H^e sums over its divisors, prod_i (e_i + 1)."""
-    counts = [1 if name == "powers" else prod(e + 1 for e in m) for m in table.monomials]
+    term per output.  Output H^e sums over its divisors, prod_i (e_i + 1),
+    and ``square`` over their unordered pairs, half of them rounded up."""
+    counts = [prod(e + 1 for e in m) for m in table.monomials]
+    if name == "powers":
+        counts = [1] * len(counts)
+    elif name == "square":
+        counts = [(c + 1) // 2 for c in counts]
     chunks, start, total = [], 0, 0
     for k, count in enumerate(counts):
         if total + count > _CHUNK_PAIRS and k > start:

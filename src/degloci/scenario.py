@@ -93,6 +93,9 @@ class Scenario(Record):
         )
 
 
+_set_bundles = Scenario.bundles.__set__
+
+
 # -- schema helpers ---------------------------------------------------------
 #
 # Each helper names the place of a value inside the document ("family.base_genus",
@@ -217,7 +220,9 @@ def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
     """
     try:
         scenario = _read_document(data)
-        return scenario._replace(bundles=_validate(scenario))
+        # Stored before the record escapes, so it is built once.
+        _set_bundles(scenario, _validate(scenario))
+        return scenario
     except ScenarioError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
 

@@ -269,8 +269,9 @@ def test_constructor_edge_cases():
 @pytest.mark.parametrize("space", KERNEL_SPACES + (ProductSpace((1, 3, 7)),), ids=str)
 def test_dense_elements(space):
     """Whole rows of the multiplication table, which the property suites never
-    fill.  Powers and products run one kernel, so a cube and an inverse are
-    also checked against a naive Fraction convolution."""
+    fill.  A cube squares through the square kernel and multiplies through the
+    product kernel, so it and an inverse are also checked against a naive
+    Fraction convolution."""
     rng = random.Random(f"dense {space.dims}")
     monomials = list(product(*(range(n + 1) for n in space.dims)))
     one = {monomials[0]: 1}
@@ -316,6 +317,7 @@ def test_kernels_match_their_loops(dims):
         rows = [chow._binomials(r - g, top - g) for g in range(top + 1)]
         cases = {
             "mul": (xs, ys),
+            "square": (xs,),
             "solve": (xs, [0] + ys[1:]),
             "twist": (xs, ys, rows),
             "powers": (_integers(rng, len(dims)), _integers(rng, top + 1)),
@@ -347,8 +349,9 @@ def test_binomial_rows_are_exact_immutable_and_cached_in_a_bounded_store():
 
 
 def _operations(space: ProductSpace, rng: random.Random) -> list[ChowElement]:
-    """Products, divisions by units over 1 and over other denominators, twists
-    with negative r - i, and powers of linear classes, from seeded elements."""
+    """Products, squares and odd powers, divisions by units over 1 and over
+    other denominators, twists with negative r - i, and powers of linear
+    classes, from seeded elements."""
     monomials = list(product(*(range(n + 1) for n in space.dims)))
     top = space.total_dimension
 
@@ -371,7 +374,7 @@ def _operations(space: ProductSpace, rng: random.Random) -> list[ChowElement]:
         for r in (rng.randint(-2, top), rng.randint(0, 2)):
             results.append(x._twisted(line, r))
             results.append(chow._one_plus_linear_power(space, coeffs, r))
-        results += [x * y, x._divided_by(unit_one), x._divided_by(unit_other)]
+        results += [x * y, x**2, x**5, x._divided_by(unit_one), x._divided_by(unit_other)]
         results.append(unit_other.invert_unit_series())
     return results
 
@@ -389,16 +392,19 @@ def test_operations_agree_on_kernels_and_loops(dims, monkeypatch):
 
 def test_kernel_selection():
     """(1,1,1,1) compiles each kernel as one function, ring_dense's spaces
-    compile mul, solve and twist in several chunks and powers in one, and
-    (9,9), above _KERNEL_PAIRS, takes the loops; KERNEL_SPACES, which the
-    dense-kernel property draws from, has spaces on both sides."""
+    compile mul, solve and twist in several chunks and powers in one, square
+    in one on (3,3,3) and (6,6) (504 and 400 unordered pairs) and in two on
+    (2,2,2,2) (656), and (9,9), above _KERNEL_PAIRS, takes the loops;
+    KERNEL_SPACES, which the dense-kernel property draws from, has spaces on
+    both sides."""
     for name, loop in chow._LOOPS.items():
         small = chow._kernel((1, 1, 1, 1), name)
         assert small.__code__.co_filename == f"<chow {name} (1, 1, 1, 1)>"
         for dims in _CHUNKED_DIMS:
             assert not isinstance(chow._kernel(dims, name), partial)
             chunks = chow._chunks(chow._table(dims), name)
-            assert (len(chunks) > 1) == (name != "powers")
+            several = name != "powers" and (name != "square" or dims == (2, 2, 2, 2))
+            assert (len(chunks) > 1) == several
         large = chow._kernel((9, 9), name)
         assert large.func is loop and large.args == (chow._table((9, 9)),)
     paths = {isinstance(chow._kernel(s.dims, "mul"), partial) for s in KERNEL_SPACES}

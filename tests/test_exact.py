@@ -7,15 +7,21 @@ import pytest
 
 from degloci import (
     BaseChangeParams,
+    BundleClass,
     ChowElement,
     ProductSpace,
     as_fraction,
+    chern,
     decimal_text,
+    hyperplane,
     invariants_from_chern_numbers,
+    line_bundle,
+    trivial_bundle,
 )
 
 _NOT_SHOWN = "(not shown: a number has more than 4300 digits)"
 _BIG = 10**4300  # one digit beyond the int-to-string limit
+_P13 = ProductSpace((1, 3))
 
 
 def test_as_fraction_accepts_int_fraction_and_string():
@@ -134,10 +140,39 @@ def _params(**changes):
             lambda: ChowElement(ProductSpace((1, 3)), {(_BIG, 0, 0): 1}),
             f"exponent vector {_NOT_SHOWN} has length 3, expected 2",
         ),
+        (
+            lambda: hyperplane(_P13, 1) ** -_BIG,
+            f"exponent must be a nonnegative integer, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: ChowElement.one(_P13).graded_part(-_BIG),
+            f"degree must be a nonnegative integer, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: hyperplane(_P13, _BIG),
+            f"factor index must be between 1 and 2, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: chern(trivial_bundle(_P13), -_BIG),
+            f"Chern-class index must be a nonnegative integer, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: line_bundle(_P13, ([_BIG], 0)),
+            f"twisting degrees must be integers, got {_NOT_SHOWN}",
+        ),
     ],
-    ids=["dims", "m1", "m2", "A12", "ell", "g", "q", "exponent", "exponent vector"],
+    ids=[
+        "dims", "m1", "m2", "A12", "ell", "g", "q", "exponent", "exponent vector",
+        "power", "degree", "factor index", "Chern index", "twisting degree",
+    ],
 )
 def test_refusal_survives_a_number_too_long_to_print(refused, message):
     with pytest.raises(ValueError) as info:
         refused()
     assert str(info.value) == message
+
+
+def test_rank_refusal_stays_a_type_error_for_a_number_too_long_to_print():
+    with pytest.raises(TypeError) as info:
+        BundleClass(_P13, [_BIG], ChowElement.one(_P13))
+    assert str(info.value) == f"rank must be an integer, got {_NOT_SHOWN}"
