@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import SlopeUndefinedError
-from .exact import as_fraction, message_text
+from .exact import as_fraction, message_text, refuse
 from .record import Record
 
 
@@ -59,14 +59,14 @@ class BaseChangeParams(Record):
         ints = (m1, m2, g_A1, g_A2, A1_sq, A2_sq, A12, base_genus)
         for name, v in zip(self.__slots__, ints):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {message_text(v, repr)}")
+                refuse(v, f"{name} must be an integer")
         if m1 < 1 or m2 < 1:
             raise ValueError(
                 "multisection degrees must be at least 1, "
                 f"got m1={message_text(m1)}, m2={message_text(m2)}"
             )
         if A12 < 0:
-            raise ValueError(f"A1.A2 must be nonnegative, got {message_text(A12)}")
+            refuse(A12, "A1.A2 must be nonnegative")
         self._fill(
             *ints,
             as_fraction(base_lambda),
@@ -80,7 +80,7 @@ class BaseChangeParams(Record):
             return self.m1, self.g_A1, self.A1_sq, self.m2
         if ell == 2:
             return self.m2, self.g_A2, self.A2_sq, self.m1
-        raise ValueError(f"multisection index must be 1 or 2, got {message_text(ell, repr)}")
+        refuse(ell, "multisection index must be 1 or 2")
 
 
 class PullbackSlope(Record):

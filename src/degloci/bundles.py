@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .chow import _INT, ChowElement, ProductSpace, _one_plus_linear_power
 from .errors import RankError, SpaceMismatchError
-from .exact import message_text
+from .exact import message_text, refuse
 from .record import Record, _setters
 
 
@@ -40,7 +40,7 @@ class BundleClass(Record):
 
     def __init__(self, space: ProductSpace, rank: int, total_chern: ChowElement):
         if not isinstance(rank, int) or isinstance(rank, bool):
-            raise TypeError(f"rank must be an integer, got {message_text(rank, repr)}")
+            refuse(rank, "rank must be an integer", TypeError)
         if total_chern.space is not space and total_chern.space != space:
             raise SpaceMismatchError(
                 "total Chern class lives on a different space than the bundle"
@@ -81,19 +81,14 @@ def line_bundle(
     degrees = tuple(degrees)
     k = len(space.dims)
     if len(degrees) != k:
-        raise ValueError(f"expected {k} twisting degrees, got {len(degrees)}")
+        refuse(len(degrees), f"expected {k} twisting degrees")
     # One pass over the types; the loop runs only for an entry that is not an int.
     if not _INT.issuperset(map(type, degrees)):
         for a in degrees:
             if not isinstance(a, int) or isinstance(a, bool):
-                raise ValueError(
-                    f"twisting degrees must be integers, got {message_text(a, repr)}"
-                )
+                refuse(a, "twisting degrees must be integers")
     if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity <= 0:
-        raise ValueError(
-            "multiplicity must be a positive integer, got "
-            f"{message_text(multiplicity, repr)}"
-        )
+        refuse(multiplicity, "multiplicity must be a positive integer")
     total = _one_plus_linear_power(space, degrees, multiplicity)
     return _bundle(space, multiplicity, total)
 
@@ -160,16 +155,8 @@ def virtual_difference(B: BundleClass, A: BundleClass) -> BundleClass:
     return _bundle(B.space, B.rank - A.rank, total)
 
 
-def chern_classes(E: BundleClass) -> list[ChowElement]:
-    """[c_0(E), ..., c_top(E)], the graded parts of the total Chern class."""
-    return [E.total_chern.graded_part(i) for i in range(E.space.total_dimension + 1)]
-
-
 def chern(E: BundleClass, i: int) -> ChowElement:
     """The i-th Chern class, the degree-i part of the total Chern class."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise ValueError(
-            "Chern-class index must be a nonnegative integer, "
-            f"got {message_text(i, repr)}"
-        )
+        refuse(i, "Chern-class index must be a nonnegative integer")
     return E.total_chern.graded_part(i)

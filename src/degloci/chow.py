@@ -85,7 +85,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import NonUnitError, SpaceMismatchError
-from .exact import as_fraction, message_text
+from .exact import as_fraction, message_text, refuse
 from .record import Record, _setters
 
 
@@ -100,10 +100,7 @@ class ProductSpace(Record):
             raise ValueError("a product space needs at least one projective factor")
         for n in dims:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValueError(
-                    "factor dimensions must be positive integers, "
-                    f"got {message_text(n, repr)}"
-                )
+                refuse(n, "factor dimensions must be positive integers")
         self._fill(dims)
 
     # Spaces are compared on every bundle operation: compare dims directly.
@@ -203,9 +200,7 @@ def _check_exponents(exps: tuple, k: int):
         )
     for e in exps:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise ValueError(
-                f"exponents must be nonnegative integers, got {message_text(e, repr)}"
-            )
+            refuse(e, "exponents must be nonnegative integers")
 
 
 _INT = frozenset({int})
@@ -376,9 +371,7 @@ class ChowElement:
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError(
-                f"exponent must be a nonnegative integer, got {message_text(exponent, repr)}"
-            )
+            refuse(exponent, "exponent must be a nonnegative integer")
         result = None
         base = self
         n = exponent
@@ -396,9 +389,7 @@ class ChowElement:
     def graded_part(self, degree: int) -> "ChowElement":
         """The sum of terms of the given total degree."""
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-            raise ValueError(
-                f"degree must be a nonnegative integer, got {message_text(degree, repr)}"
-            )
+            refuse(degree, "degree must be a nonnegative integer")
         degrees = _table(self._space.dims).degrees
         return _reduced(
             self._space,
@@ -583,10 +574,7 @@ def _dual_indices(dims: tuple[int, ...]) -> tuple[list, list, list]:
 def hyperplane(space: ProductSpace, i: int) -> ChowElement:
     """The hyperplane class H_i of the i-th factor (1-based index)."""
     if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= space.num_factors:
-        raise ValueError(
-            f"factor index must be between 1 and {space.num_factors}, "
-            f"got {message_text(i, repr)}"
-        )
+        refuse(i, f"factor index must be between 1 and {space.num_factors}")
     table = _table(space.dims)
     nums = [0] * len(table.monomials)
     nums[table.linear[i - 1]] = 1

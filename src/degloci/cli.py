@@ -1,8 +1,9 @@
 """Command-line front end for running scenarios.
 
 Exit codes: 0 on success, 1 on any scenario problem (bad file, bad flag,
-schema violation, inconsistent data), 2 when an internal consistency check
-fails, including cross-checks requested with --check.
+schema violation, inconsistent data) or a report stdout cannot encode, 2 when
+an internal consistency check fails, including cross-checks requested with
+--check.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="also run the double-point and beta/sigma cross-checks; "
+        help="also run the double-point, Noether and beta/sigma cross-checks; "
         "exit nonzero if any disagree",
     )
     return parser
@@ -75,7 +76,11 @@ def main(argv=None) -> int:
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(RENDERERS[args.format](report))
+    try:
+        sys.stdout.write(RENDERERS[args.format](report))
+    except UnicodeEncodeError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     if not report.all_checks_passed:
         print("error: cross-checks failed", file=sys.stderr)
         return 2

@@ -64,7 +64,7 @@ from math import comb, lcm, prod
 from .bundles import BundleClass, chern, virtual_difference
 from .chow import ChowElement, ProductSpace, _dual_indices, _make, _table
 from .errors import RankError, SpaceMismatchError
-from .exact import message_text
+from .exact import message_text, refuse
 from .record import Record
 
 
@@ -78,10 +78,7 @@ class DegeneracyInput(Record):
         A: BundleClass, B: BundleClass,
     ):
         if space.total_dimension != 4:
-            raise ValueError(
-                "ambient space must have total dimension 4, got "
-                f"{message_text(space.total_dimension)}"
-            )
+            refuse(space.total_dimension, "ambient space must have total dimension 4")
         for part in (tangent_c1, tangent_c2, A.total_chern, B.total_chern):
             if part._space is not space and part._space != space:
                 raise SpaceMismatchError("all inputs must live on the ambient space")

@@ -6,7 +6,8 @@ Decimal renderings are produced only at output time, from the exact value,
 in a decimal context of their own, so they do not depend on the calling
 thread's context (its precision, rounding, traps or exponent letter).
 Error messages show their numbers through ``message_text``, which cannot
-raise, so a refusal keeps its reason even for a number too long to print.
+raise, so a refusal keeps its reason even for a number too long to print;
+``refuse`` raises every refusal of the shape "<expectation>, got <value>".
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 import sys
 from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
+from typing import NoReturn
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -92,3 +94,9 @@ def message_text(value, convert=str) -> str:
         return convert(value)
     except ValueError:
         return f"(not shown: a number has more than {sys.get_int_max_str_digits()} digits)"
+
+
+def refuse(value, expectation: str, error: type[Exception] = ValueError) -> NoReturn:
+    """Raise ``error("<expectation>, got <value>")``; the value is shown by
+    ``message_text(value, repr)``, so it cannot replace the refusal."""
+    raise error(f"{expectation}, got {message_text(value, repr)}")

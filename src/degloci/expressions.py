@@ -38,6 +38,7 @@ from . import bundles
 from .bundles import BundleClass
 from .chow import ProductSpace
 from .errors import ExpressionError
+from .exact import refuse
 from .record import Record, _setters
 
 # One token after optional blanks.  Splitting a text on this pattern leaves
@@ -258,10 +259,8 @@ def _evaluate(node: Expression, space, resolve) -> BundleClass:
         return function(_evaluate(first, space, resolve), _evaluate(second, space, resolve))
     if type(node) is LineBundleExpr:
         if len(node.degrees) != space.num_factors:
-            raise ExpressionError(
-                f"O(...) needs {space.num_factors} degrees on {space}, "
-                f"got {len(node.degrees)}"
-            )
+            expected = f"O(...) needs {space.num_factors} degrees on {space}"
+            refuse(len(node.degrees), expected, ExpressionError)
         return bundles.line_bundle(space, node.degrees, node.multiplicity)
     if type(node) is NameRef:
         if resolve is None:

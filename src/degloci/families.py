@@ -8,7 +8,9 @@ genus-g curves over a base of genus q, the standard relative invariants are
     lambda = (kappa + delta) / 12
 
 and the slope of the induced map to moduli is delta / lambda.  The Mumford
-relation 12 lambda = kappa + delta holds by construction and is asserted.
+relation 12 lambda = kappa + delta holds by construction.  For a surface,
+lambda is the integer chi(O_Z) (Noether's formula), which ``run_scenario``'s
+``noether_lambda`` check tests as 12 | c_1^2 + c_2.
 
 With c_1^2 and c_2 over one denominator d, kappa d, delta d and 12 lambda d are
 integers, so each value is one integer ratio: slope = 12 delta d / (12 lambda d).
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InternalCheckError
-from .exact import as_fraction, message_text
+from .exact import as_fraction, refuse
 from .record import Record
 
 
@@ -52,13 +53,9 @@ def invariants_from_chern_numbers(
     the slope story is only meaningful for stable fibers.
     """
     if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-        raise ValueError(
-            f"fiber genus must be a nonnegative integer, got {message_text(g, repr)}"
-        )
+        refuse(g, "fiber genus must be a nonnegative integer")
     if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-        raise ValueError(
-            f"base genus must be a nonnegative integer, got {message_text(q, repr)}"
-        )
+        refuse(q, "base genus must be a nonnegative integer")
     if g < 2 and not allow_low_genus:
         raise ValueError(
             f"fiber genus {g} is below 2; pass allow_low_genus=True to accept it"
@@ -70,8 +67,6 @@ def invariants_from_chern_numbers(
     delta_d = p2 * q1 - (2 - 2 * g) * (2 - 2 * q) * d
     kappa, delta = Fraction(kappa_d, d), Fraction(delta_d, d)
     lambda_ = Fraction(kappa_d + delta_d, 12 * d)
-    if 12 * lambda_ != kappa + delta:
-        raise InternalCheckError("Mumford relation 12*lambda = kappa + delta violated")
     slope = Fraction(12 * delta_d, kappa_d + delta_d) if lambda_ else None
 
     return FamilyInvariants(

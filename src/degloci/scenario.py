@@ -46,8 +46,8 @@ from .degeneracy import (
     double_point_check,
     virtual_chern_numbers,
 )
-from .errors import ExpressionError, InternalCheckError, ScenarioError
-from .exact import as_fraction, message_text
+from .errors import ExpressionError, ScenarioError
+from .exact import as_fraction, message_text, refuse
 from .expressions import (
     _KEYWORDS,
     Expression,
@@ -150,25 +150,21 @@ def _as_list(value, where: str, what: str, *, nonempty: bool = False) -> list:
     return value
 
 
-def _refuse(value, where: str, expected: str) -> NoReturn:
-    _fail(where, f"expected {expected}, got {message_text(value, repr)}")
-
-
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str) or not value.strip():
-        _refuse(value, where, "a nonempty string")
+        refuse(value, f"{where}: expected a nonempty string", ScenarioError)
     return value
 
 
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _refuse(value, where, "an integer")
+        refuse(value, f"{where}: expected an integer", ScenarioError)
     return value
 
 
 def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
-        _refuse(value, where, "true or false")
+        refuse(value, f"{where}: expected true or false", ScenarioError)
     return value
 
 
@@ -176,7 +172,7 @@ def _as_rational(value, where: str) -> Fraction:
     try:
         return as_fraction(value)
     except (TypeError, ValueError):
-        _refuse(value, where, "an integer or 'p/q' string")
+        refuse(value, f"{where}: expected an integer or 'p/q' string", ScenarioError)
 
 
 def _notes_list(value, where: str) -> tuple[str, ...]:
@@ -305,11 +301,8 @@ def _validate(scenario: Scenario) -> tuple[tuple[str, BundleClass], ...]:
     them.
     """
     if scenario.space.total_dimension != 4:
-        _fail(
-            "space",
-            "the degeneracy pipeline needs total dimension 4, "
-            f"got {message_text(scenario.space.total_dimension)}",
-        )
+        expected = "space: the degeneracy pipeline needs total dimension 4"
+        refuse(scenario.space.total_dimension, expected, ScenarioError)
     env = resolve_bundles(scenario)
     A = env[scenario.degeneracy_a]
     B = env[scenario.degeneracy_b]
@@ -328,7 +321,7 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     return _parse_text(text, str(path))
 
@@ -425,9 +418,10 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
     The bundle pair comes from ``scenario.bundles``, resolved when the
     scenario was loaded, and the degeneracy formulas are evaluated once.
     With ``check`` the report also carries the double-point cross-check of
-    c_2(Z), computed from those same numbers, and, when a base-change block
-    is present, the identity between the delta_0 correction and the sum of
-    section self-intersections.
+    c_2(Z), computed from those same numbers, Noether's integrality
+    12 | c_1(Z)^2 + c_2(Z) (lambda is the integer chi(O_Z)), and, when a
+    base-change block is present, the identity between the delta_0
+    correction and the sum of section self-intersections.
     """
     with _stage("space"):
         tangent_c1, tangent_c2 = ambient_tangent_of_product(scenario.space)
@@ -494,6 +488,10 @@ def run_scenario(scenario: Scenario, *, check: bool = False) -> Report:
             dp = double_point_check(inp, numbers)
         checks.append(
             CheckResult("double_point_c2", dp == numbers.c2, f"{dp} vs {numbers.c2}")
+        )
+        s = numbers.c1_sq + numbers.c2
+        checks.append(
+            CheckResult("noether_lambda", s % 12 == 0, f"c1(Z)^2 + c2(Z) = {message_text(s)}")
         )
         if scenario.base_change is not None:
             correction, rhs = pb.delta0_correction, sigma[0] + sigma[1]

@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ def test_m16_exact_output_with_check(capsys):
     golden = (Path(__file__).parent / "golden" / "m16.exact.txt").read_text(encoding="utf-8")
     assert out == golden + (
         "check double_point_c2 = pass (336 vs 336)\n"
+        "check noether_lambda = pass (c1(Z)^2 + c2(Z) = 552)\n"
         "check beta_sigma_identity = pass (-6192 vs -6192)\n"
     )
 
@@ -70,6 +72,16 @@ def test_missing_config_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read scenario file {path}: 'utf-8' codec")
+    assert "Traceback" not in err
 
 
 def _holds_float(node) -> bool:
@@ -111,6 +123,62 @@ def _scenario_file(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(stg.minimal_data(**overrides)))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, encoding",
+    [("m15 \u00e9", "ascii"), ("\ud800", "utf-8")],
+    ids=["ascii", "lone surrogate"],
+)
+def test_report_that_stdout_cannot_encode_exits_1(tmp_path, name, encoding):
+    """Exact and decimal reports print the name as it is; JSON escapes it."""
+    path = _scenario_file(tmp_path, name=name)
+    for output_format, expected in (("exact", 1), ("decimal", 1), ("json", 0)):
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", path, "--format", output_format])
+        out.flush()
+        assert code == expected
+        if expected:
+            assert out.buffer.getvalue() == b""
+            assert err.getvalue().startswith("error: cannot write the report: ")
+        else:
+            assert json.loads(out.buffer.getvalue())["scenario"] == name
+            assert err.getvalue() == ""
+
+
+def test_noether_check_fails_on_an_error_common_to_both_formulas(monkeypatch, capsys):
+    """Adding 1 to both c1(Z)^2 and c2(Z) keeps the double-point identity."""
+    numbers = degloci.scenario.virtual_chern_numbers
+
+    def shifted(inp):
+        n = numbers(inp)
+        return n._replace(c1_sq=n.c1_sq + 1, c2=n.c2 + 1)
+
+    monkeypatch.setattr(degloci.scenario, "virtual_chern_numbers", shifted)
+    code, out, err = run_cli(capsys, "--scenario", "m15", "--check")
+    assert code == 2
+    assert "check double_point_c2 = pass (337 vs 337)\n" in out
+    assert "check noether_lambda = FAIL (c1(Z)^2 + c2(Z) = 554)\n" in out
+    assert err == "error: cross-checks failed\n"
+
+
+def test_noether_line_survives_a_sum_too_long_to_print(monkeypatch, capsys):
+    """c1(Z)^2 and c2(Z) print with 4300 digits each; their sum has 4301."""
+    big = Fraction(6 * 10**4299)
+    numbers = degloci.scenario.virtual_chern_numbers
+    monkeypatch.setattr(
+        degloci.scenario,
+        "virtual_chern_numbers",
+        lambda inp: numbers(inp)._replace(c1_sq=big, c2=big),
+    )
+    monkeypatch.setattr(degloci.scenario, "double_point_check", lambda inp, n: n.c2)
+    code, out, err = run_cli(capsys, "--scenario", "m15", "--check")
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "check noether_lambda = pass (c1(Z)^2 + c2(Z) = "
+        "(not shown: a number has more than 4300 digits))\n"
+    )
 
 
 BASE_CHANGE = {

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from strategies import minimal_data
 from degloci import (
     BaseChangeParams,
     BundleClass,
     ChowElement,
+    DegeneracyInput,
     ProductSpace,
     as_fraction,
     chern,
@@ -18,6 +20,7 @@ from degloci import (
     line_bundle,
     trivial_bundle,
 )
+from degloci.scenario import parse_scenario_data
 
 _NOT_SHOWN = "(not shown: a number has more than 4300 digits)"
 _BIG = 10**4300  # one digit beyond the int-to-string limit
@@ -160,10 +163,31 @@ def _params(**changes):
             lambda: line_bundle(_P13, ([_BIG], 0)),
             f"twisting degrees must be integers, got {_NOT_SHOWN}",
         ),
+        (
+            lambda: line_bundle(_P13, (0, 0), -_BIG),
+            f"multiplicity must be a positive integer, got {_NOT_SHOWN}",
+        ),
+        (
+            # The dimension is checked first, so no ring element is needed.
+            lambda: DegeneracyInput(ProductSpace((_BIG,)), None, None, None, None),
+            f"ambient space must have total dimension 4, got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: parse_scenario_data(minimal_data(space=[_BIG])),
+            "<scenario>: space: the degeneracy pipeline needs total dimension 4, "
+            f"got {_NOT_SHOWN}",
+        ),
+        (
+            lambda: parse_scenario_data(
+                minimal_data(family={"fiber_genus": [_BIG], "base_genus": 0})
+            ),
+            f"<scenario>: family.fiber_genus: expected an integer, got {_NOT_SHOWN}",
+        ),
     ],
     ids=[
         "dims", "m1", "m2", "A12", "ell", "g", "q", "exponent", "exponent vector",
         "power", "degree", "factor index", "Chern index", "twisting degree",
+        "multiplicity", "ambient dimension", "pipeline dimension", "schema",
     ],
 )
 def test_refusal_survives_a_number_too_long_to_print(refused, message):
