@@ -17,108 +17,73 @@ The package chains four small exact-arithmetic layers:
 Everything is computed over ``fractions.Fraction``; no value is ever rounded
 except in explicitly requested decimal renderings.  The ``cli`` module and the
 bundled scenarios tie the layers together into reproducible reports.
+
+``import degloci`` runs no submodule.  Each one but ``cli`` is put in
+``sys.modules`` through ``importlib.util.LazyLoader``, so its source is
+compiled and run on the first attribute read from it, and a caller pays only
+for the layers it touches: a ring product loads ``chow``, ``errors``,
+``exact`` and ``record``, a scenario run loads them all.  ``cli`` is imported
+as usual, as ``python -m degloci.cli`` needs.  The names in ``__all__``
+resolve through ``__getattr__`` to their submodule's attribute on every read
+and are never stored on the package, so a name rebound in its submodule (by
+``monkeypatch.setattr``, say) reads the same through ``degloci``.  Python
+3.11's ``LazyLoader`` takes no lock: when two threads first touch a submodule
+at once, one can read it while the other is still running it, and get
+``AttributeError`` for a name not yet defined.  A threaded caller should touch
+the submodules it needs (``degloci.scenario.run_scenario`` loads every layer)
+before it starts its threads.
 """
 
-from .base_change import (
-    BaseChangeParams,
-    PullbackSlope,
-    beta_delta0_correction,
-    beta_delta_j,
-    pullback_slope,
-    relative_omega_degree,
-    sigma_tilde_self_intersection,
-)
-from .bundles import (
-    BundleClass,
-    chern,
-    direct_sum,
-    dual,
-    kernel_from_sequence,
-    line_bundle,
-    trivial_bundle,
-    twist,
-    virtual_difference,
-)
-from .chow import ChowElement, ProductSpace, hyperplane
-from .degeneracy import (
-    DegeneracyInput,
-    VirtualChernNumbers,
-    ambient_tangent_of_product,
-    degeneracy_class,
-    double_point_check,
-    virtual_chern_numbers,
-)
-from .errors import (
-    ExpressionError,
-    InternalCheckError,
-    NonUnitError,
-    RankError,
-    ScenarioError,
-    SlopeUndefinedError,
-    SpaceMismatchError,
-)
-from .exact import as_fraction, decimal_text
-from .expressions import evaluate_expression, parse_expression
-from .families import FamilyInvariants, invariants_from_chern_numbers
-from .report import Report, render_decimal, render_exact, render_json
-from .scenario import (
-    BUNDLED_SCENARIOS,
-    Scenario,
-    load_bundled_scenario,
-    load_scenario,
-    resolve_bundles,
-    run_scenario,
-)
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BUNDLED_SCENARIOS",
-    "BaseChangeParams",
-    "BundleClass",
-    "ChowElement",
-    "DegeneracyInput",
-    "ExpressionError",
-    "FamilyInvariants",
-    "InternalCheckError",
-    "NonUnitError",
-    "ProductSpace",
-    "PullbackSlope",
-    "RankError",
-    "Report",
-    "Scenario",
-    "ScenarioError",
-    "SlopeUndefinedError",
-    "SpaceMismatchError",
-    "VirtualChernNumbers",
-    "ambient_tangent_of_product",
-    "as_fraction",
-    "beta_delta0_correction",
-    "beta_delta_j",
-    "chern",
-    "decimal_text",
-    "degeneracy_class",
-    "direct_sum",
-    "double_point_check",
-    "dual",
-    "evaluate_expression",
-    "hyperplane",
-    "invariants_from_chern_numbers",
-    "kernel_from_sequence",
-    "line_bundle",
-    "load_bundled_scenario",
-    "load_scenario",
-    "parse_expression",
-    "pullback_slope",
-    "relative_omega_degree",
-    "render_decimal",
-    "render_exact",
-    "render_json",
-    "resolve_bundles",
-    "run_scenario",
-    "sigma_tilde_self_intersection",
-    "trivial_bundle",
-    "twist",
-    "virtual_chern_numbers",
-    "virtual_difference",
-]
+# Each lazily loaded submodule and the names the package exports from it.
+_EXPORTS = {
+    "base_change": (
+        "BaseChangeParams", "PullbackSlope", "beta_delta0_correction", "beta_delta_j",
+        "pullback_slope", "relative_omega_degree", "sigma_tilde_self_intersection",
+    ),
+    "bundles": (
+        "BundleClass", "chern", "direct_sum", "dual", "kernel_from_sequence",
+        "line_bundle", "trivial_bundle", "twist", "virtual_difference",
+    ),
+    "chow": ("ChowElement", "ProductSpace", "hyperplane"),
+    "degeneracy": (
+        "DegeneracyInput", "VirtualChernNumbers", "ambient_tangent_of_product",
+        "degeneracy_class", "double_point_check", "virtual_chern_numbers",
+    ),
+    "errors": (
+        "ExpressionError", "InternalCheckError", "NonUnitError", "RankError",
+        "ScenarioError", "SlopeUndefinedError", "SpaceMismatchError",
+    ),
+    "exact": ("as_fraction", "decimal_text"),
+    "expressions": ("evaluate_expression", "parse_expression"),
+    "families": ("FamilyInvariants", "invariants_from_chern_numbers"),
+    "record": (),
+    "report": ("Report", "render_decimal", "render_exact", "render_json"),
+    "scenario": (
+        "BUNDLED_SCENARIOS", "Scenario", "load_bundled_scenario", "load_scenario",
+        "resolve_bundles", "run_scenario",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
+
+for _name in _EXPORTS:
+    _spec = find_spec(f"{__name__}.{_name}")
+    _spec.loader = LazyLoader(_spec.loader)
+    _module = globals()[_name] = sys.modules[_spec.name] = module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_SOURCE[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,12 +13,15 @@ element whatever its sparsity: 8 to 16 on the fourfolds the pipeline uses.
 Products read one table per space, built on first use and kept for the life
 of the process: for each monomial, its partners (the monomials whose product
 with it stays inside the truncation) in ascending index order.  With
-lexicographic (mixed-radix) indexing, such a product has index i + j.  A
-space with at most ``_KERNEL_PAIRS`` (2048) partner pairs gets five integer
-kernels, generated from its table as straight-line source with one sum per
-output monomial and compiled on first use: the product, the square, the
-triangular solve of a division, the binomial-weighted product of a twist and
-the powers of a linear class.  The square multiplies each unordered partner
+lexicographic (mixed-radix) indexing, such a product has index i + j.  The
+partner lists grow about with N^2, so a ring of more than ``MAX_MONOMIALS``
+(2500) monomials is refused with ``ValueError`` before its table is built;
+the worst shape at the bound, P^2499, builds in about 1 s on a shared 2-vCPU
+host.  A space with at most ``_KERNEL_PAIRS`` (2048) partner pairs gets five
+integer kernels, generated from its table as straight-line source with one
+sum per output monomial and compiled on first use: the product, the square,
+the triangular solve of a division, the binomial-weighted product of a twist
+and the powers of a linear class.  The square multiplies each unordered partner
 pair once, doubling the sum of the pairs i < j and adding the diagonal x_i^2,
 so a power's squarings cost about half the products of ``x * x``; only the
 product ``result * base`` of an odd exponent takes the product kernel.  The
@@ -77,12 +80,12 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import NonUnitError, SpaceMismatchError
 from .exact import as_fraction, message_text, refuse
@@ -124,6 +127,10 @@ class ProductSpace(Record):
         return " x ".join(f"P^{n}" for n in self.dims)
 
 
+# The most basis monomials a ring may have; see the module docstring.
+MAX_MONOMIALS = 2500
+
+
 class _Table:
     """The monomial basis of one space and its multiplication pattern."""
 
@@ -132,6 +139,9 @@ class _Table:
     )
 
     def __init__(self, dims: tuple[int, ...]):
+        count = prod(n + 1 for n in dims)
+        if count > MAX_MONOMIALS:
+            refuse(count, f"a Chow ring may have at most {MAX_MONOMIALS} basis monomials")
         self.monomials = list(product(*(range(n + 1) for n in dims)))
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = [sum(m) for m in self.monomials]

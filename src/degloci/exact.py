@@ -16,7 +16,6 @@ import re
 import sys
 from decimal import ROUND_HALF_EVEN, Context, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
-from typing import NoReturn
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -96,7 +95,7 @@ def message_text(value, convert=str) -> str:
         return f"(not shown: a number has more than {sys.get_int_max_str_digits()} digits)"
 
 
-def refuse(value, expectation: str, error: type[Exception] = ValueError) -> NoReturn:
+def refuse(value, expectation: str, error: type[Exception] = ValueError):
     """Raise ``error("<expectation>, got <value>")``; the value is shown by
     ``message_text(value, repr)``, so it cannot replace the refusal."""
     raise error(f"{expectation}, got {message_text(value, repr)}")

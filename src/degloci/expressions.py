@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Callable, Union
+from collections.abc import Callable
 
 from . import bundles
 from .bundles import BundleClass
@@ -93,7 +93,7 @@ _set_degrees, _set_multiplicity = _setters(LineBundleExpr)
 (_set_name,) = _setters(NameRef)
 _set_op, _set_args = _setters(Apply)
 
-Expression = Union[LineBundleExpr, NameRef, Apply]
+Expression = LineBundleExpr | NameRef | Apply
 
 
 def parse_expression(text: str) -> Expression:
@@ -237,7 +237,7 @@ def _referenced_names(expr: Expression) -> list[str]:
 
 
 def evaluate_expression(
-    expr: Union[str, Expression],
+    expr: str | Expression,
     space: ProductSpace,
     resolve: Callable[[str], BundleClass] | None = None,
 ) -> BundleClass:

@@ -26,12 +26,11 @@ needs them; the loaded ``Scenario`` carries the resolved classes, and
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
 from fractions import Fraction
 from functools import cache
-from importlib import resources
-from pathlib import Path
-from typing import NoReturn
 
 from .base_change import (
     BaseChangeParams,
@@ -121,7 +120,7 @@ _OBJECT_KEYS = {
 }
 
 
-def _fail(where: str | None, message: str) -> NoReturn:
+def _fail(where: str | None, message: str):
     raise ScenarioError(f"{where}: {message}" if where else message)
 
 
@@ -318,12 +317,28 @@ def _validate(scenario: Scenario) -> tuple[tuple[str, BundleClass], ...]:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file."""
-    path = Path(path)
+    path = _path_text(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    return _parse_text(text, str(path))
+    return _parse_text(text, path)
+
+
+def _path_text(path) -> str:
+    """``str(pathlib.Path(path))`` on POSIX, without importing ``pathlib``: empty
+    and ``.`` segments and a trailing slash are dropped, and a root of exactly
+    two slashes is kept, so ``./x.json`` reads ``x.json``."""
+    text = os.fspath(path)
+    if not isinstance(text, str):
+        raise TypeError(
+            "argument should be a str object or an os.PathLike object returning str, "
+            f"not {type(text)!r}"
+        )
+    rel = text.lstrip("/")
+    root = "//" if len(text) - len(rel) == 2 else "/" if rel != text else ""
+    return root + "/".join(p for p in rel.split("/") if p not in ("", ".")) or "."
 
 
 def load_bundled_scenario(name: str) -> Scenario:
@@ -332,9 +347,9 @@ def load_bundled_scenario(name: str) -> Scenario:
         raise ScenarioError(
             f"unknown bundled scenario {name!r}; available: {', '.join(BUNDLED_SCENARIOS)}"
         )
-    text = (
-        resources.files("degloci").joinpath("scenarios", f"{name}.json").read_text("utf-8")
-    )
+    # Through the package's loader, which can also read from a zip archive.
+    path = os.path.join(os.path.dirname(__file__), "scenarios", f"{name}.json")
+    text = sys.modules[__package__].__loader__.get_data(path).decode("utf-8")
     return _parse_text(text, f"bundled scenario {name!r}")
 
 

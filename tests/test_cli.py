@@ -7,6 +7,7 @@ catalogue in ``test_scenario`` lists runs through the CLI here.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -301,14 +302,36 @@ def test_usage_errors_exit_1(capsys):
         capsys.readouterr()
 
 
-def test_cold_start_imports_no_code_introspection_modules():
-    # dataclasses imports inspect, which imports ast, dis and tokenize; the
-    # CLI needs none of them, and on a fresh interpreter each one costs time.
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_m16_check_as_a_process(flags):
+    # ``python -m`` needs cli's own loader; a lazily registered cli makes
+    # runpy warn on stderr.
     src = str(Path(degloci.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "degloci.cli", "--scenario", "m16", "--check"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    golden = (Path(__file__).parent / "golden" / "m16.exact.txt").read_text(encoding="utf-8")
+    lines = proc.stdout.splitlines(keepends=True)
+    assert "".join(line for line in lines if not line.startswith("check ")) == golden
+    assert sum(line.startswith("check ") for line in lines) == 3
+
+
+def test_cold_start_imports_no_code_introspection_modules():
+    # dataclasses imports inspect, which imports ast, dis and tokenize;
+    # importlib.resources and pathlib import the rest of the set.  The CLI
+    # needs none of them, and on a fresh interpreter each one costs time.
+    src = str(Path(degloci.__file__).resolve().parents[1])
+    unwanted = {
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib",
+        "importlib.resources", "importlib.readers", "tempfile", "shutil", "zipfile",
+        "bz2", "lzma", "zlib", "random", "threading", "weakref", "urllib", "ipaddress",
+        "fnmatch", "ntpath", "struct", "binascii", "bisect", "errno",
+    }
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import degloci.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
-        "& set(sys.modules)))"
+        f"print(sorted({unwanted!r} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True

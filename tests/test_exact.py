@@ -20,6 +20,7 @@ from degloci import (
     line_bundle,
     trivial_bundle,
 )
+from degloci.chow import MAX_MONOMIALS, _Table
 from degloci.scenario import parse_scenario_data
 
 _NOT_SHOWN = "(not shown: a number has more than 4300 digits)"
@@ -152,6 +153,10 @@ def _params(**changes):
             f"degree must be a nonnegative integer, got {_NOT_SHOWN}",
         ),
         (
+            lambda: ChowElement.one(ProductSpace((_BIG,))),
+            f"a Chow ring may have at most 2500 basis monomials, got {_NOT_SHOWN}",
+        ),
+        (
             lambda: hyperplane(_P13, _BIG),
             f"factor index must be between 1 and 2, got {_NOT_SHOWN}",
         ),
@@ -186,7 +191,7 @@ def _params(**changes):
     ],
     ids=[
         "dims", "m1", "m2", "A12", "ell", "g", "q", "exponent", "exponent vector",
-        "power", "degree", "factor index", "Chern index", "twisting degree",
+        "power", "degree", "ring size", "factor index", "Chern index", "twisting degree",
         "multiplicity", "ambient dimension", "pipeline dimension", "schema",
     ],
 )
@@ -194,6 +199,17 @@ def test_refusal_survives_a_number_too_long_to_print(refused, message):
     with pytest.raises(ValueError) as info:
         refused()
     assert str(info.value) == message
+
+
+def test_ring_tables_stop_at_the_monomial_bound():
+    # (80, 80) would take seconds to tabulate; the bound refuses it at once.
+    for dims, count in (((80, 80), 6561), ((2500,), 2501)):
+        with pytest.raises(ValueError) as info:
+            ChowElement.one(ProductSpace(dims))
+        assert str(info.value) == (
+            f"a Chow ring may have at most {MAX_MONOMIALS} basis monomials, got {count}"
+        )
+    assert len(_Table((4, 4, 4, 4, 3)).monomials) == MAX_MONOMIALS == 2500
 
 
 def test_rank_refusal_stays_a_type_error_for_a_number_too_long_to_print():
