@@ -8,8 +8,8 @@ The package chains four small exact-arithmetic layers:
   bundles by sums, duals, rank-1 twists, and exact sequences.
 - ``degeneracy``: the corrected closed formulas for the virtual Chern numbers
   c_1(Z)^2 and c_2(Z) of a rank-drop locus on a 4-dimensional ambient space,
-  with a double-point cross-check that catches a slip in the ring arithmetic
-  or an error in one formula alone, but not an error common to both.
+  with a double-point cross-check that catches an error in one formula alone,
+  but not one common to both or a slip in the c(B - A) that both read.
 - ``families`` and ``base_change``: the invariants kappa, delta, lambda and
   slope of the induced family of curves, and the corrected behavior of those
   degrees under base change along a pair of multisections.
@@ -52,7 +52,7 @@ _EXPORTS = {
     "chow": ("ChowElement", "ProductSpace", "hyperplane"),
     "degeneracy": (
         "DegeneracyInput", "VirtualChernNumbers", "ambient_tangent_of_product",
-        "degeneracy_class", "double_point_check", "virtual_chern_numbers",
+        "double_point_check", "virtual_chern_numbers",
     ),
     "errors": (
         "ExpressionError", "InternalCheckError", "NonUnitError", "RankError",

@@ -230,7 +230,7 @@ def _term_text(v: int, den: int, label: str) -> str:
     return f"{v}{label}" if den == 1 else f"{Fraction(v, den)}{label}"
 
 
-class ChowElement:
+class ChowElement(Record):
     """An element of the truncated ring Q[H_1..H_k] / (H_i^{n_i+1}).
 
     Immutable after construction; all operations return new elements.  The
@@ -272,11 +272,8 @@ class ChowElement:
         _set_nums(self, nums)
         _set_den(self, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ChowElement is immutable")
-
-    # Copies and pickles rebuild through _make: the default slot-state restore
-    # would call the __setattr__ above.
+    # Copies and pickles rebuild through _make: the constructor takes terms,
+    # not the stored fields that Record.__reduce__ would pass it.
     def __reduce__(self):
         return _make, (self._space, self._nums, self._den)
 

@@ -25,11 +25,15 @@ integral against T.  With u = c_1(M) - c_1:
 
     c_2(Z)   = int (1 + (c_1 - u) + X) T,  where
 
-    X = c_2(M) - c_1(M) c_1 + c_2(A) - c_2(B) + c_1(B)^2 - c_1(A) c_1(B).
+    X = c_2(M) - c_1(M) c_1 + c_2(A) - c_2(B) + c_1(B)^2 - c_1(A) c_1(B)
+      = c_2(M) - c_1(M) c_1 + c_1^2 - c_2  =  c_2(T_M + A - B),
+
+as c(B) = c(A) T gives c_1(B) = c_1(A) + c_1 and c_2(B) = c_2(A) + c_1(A) c_1
++ c_2.  So both numbers read only T and c(T_M), with X = c_2(M) - c_2 - u c_1.
 
 No multiplier is built.  Each term is an integer pairing read from the
-dense numerators of T, c(A), c(B) and the tangent classes, at the
-complements that ``chow._dual_indices`` lists once per space:
+dense numerators of T and the tangent classes, at the complements that
+``chow._dual_indices`` lists once per space:
 
 - int T is the socle entry of T;
 - int x T, for the degree-1 or degree-2 part of x, is a dot product of x
@@ -37,9 +41,9 @@ complements that ``chow._dual_indices`` lists once per space:
 - int l l' T, for linear l and l', is a k x k form read at the complements
   of H_i H_j, and is zero where H_i H_j = 0 (i = j on a factor P^1).
 
-All five classes are read over one denominator D, the lcm of theirs, so
+All three classes are read over one denominator D, the lcm of theirs, so
 each number is one integer over D^3.  The one ring operation left is the
-division c(B) / c(A).
+division c(B) / c(A) that builds T.
 
 ``double_point_check`` recomputes c_2(Z) by a double-point style
 rearrangement of the numbers ``virtual_chern_numbers`` returned: it adds a
@@ -48,11 +52,12 @@ correction built from their c(B - A) to their c_1(Z)^2,
     c_2(Z) = c_1(Z)^2 + int w c(B - A),
     w = c_1(M) + c_2(M) - c_2 - (c_1(M) - c_1) c_1(M).
 
-It is the difference of the two formulas, simplified with c(B - A) =
-c(B) / c(A), so it agrees with c_2(Z) identically.  It catches a slip in
-the ring arithmetic or an error in one formula alone: on the bundled m15
-scenario it gives 336 where the superseded c_2(Z) gives 648.  It cannot
-catch an error common to both formulas, such as 2 c_4 for c_4 in each.
+It is the difference of the two formulas, so it agrees with c_2(Z)
+identically in T and c(T_M).  It catches an error in one formula alone: on
+the bundled m15 scenario it gives 336 where the superseded c_2(Z) gives 648.
+It cannot catch an error common to both formulas, such as 2 c_4 for c_4 in
+each, nor a slip in T, which both read; the tests check the division that
+builds T, by each ring kernel's loop and a sympy oracle.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, lcm, prod
 
-from .bundles import BundleClass, chern, virtual_difference
+from .bundles import BundleClass, virtual_difference
 from .chow import ChowElement, ProductSpace, _dual_indices, _make, _table
 from .errors import RankError, SpaceMismatchError
 from .exact import message_text, refuse
@@ -125,13 +130,13 @@ def ambient_tangent_of_product(space: ProductSpace) -> tuple[ChowElement, ChowEl
 def _over_one_denominator(
     inp: DegeneracyInput, T: ChowElement
 ) -> tuple[int, list[list[int]]]:
-    """D and the numerators over D of T, c(A), c(B), c_1(M) and c_2(M).
+    """D and the numerators over D of T, c_1(M) and c_2(M).
 
     D is the lcm of their denominators, so the integral of k of these classes
     against T is an integer over D^(k + 1).  A class already over D keeps its
     numerator list.
     """
-    classes = (T, inp.A.total_chern, inp.B.total_chern, inp.tangent_c1, inp.tangent_c2)
+    classes = (T, inp.tangent_c1, inp.tangent_c2)
     D = lcm(*[x._den for x in classes])
     return D, [
         x._nums if x._den == D else [v * (D // x._den) for v in x._nums] for x in classes
@@ -154,17 +159,15 @@ def _pair_bilinear(x: list, y: list, t: list, triples: list) -> int:
 def virtual_chern_numbers(inp: DegeneracyInput) -> VirtualChernNumbers:
     """Evaluate both corrected formulas as integer pairings with c(B - A)."""
     diff = virtual_difference(inp.B, inp.A)
-    D, (t, a, b, m1, m2) = _over_one_denominator(inp, diff.total_chern)
+    D, (t, m1, m2) = _over_one_denominator(inp, diff.total_chern)
     linear, quadratic, triples = _dual_indices(inp.space.dims)
     u = [m - c for m, c in zip(m1, t)]  # c_1(M) - c_1 in degree 1
     c1_sq = D * D * t[-1] - 2 * D * _pair(u, t, linear) + _pair_bilinear(u, u, t, triples)
     c2 = (
         D * D * t[-1]
         + D * _pair([2 * c - m for m, c in zip(m1, t)], t, linear)
-        + D * _pair([m + p - q for m, p, q in zip(m2, a, b)], t, quadratic)
-        - _pair_bilinear(m1, t, t, triples)
-        + _pair_bilinear(b, b, t, triples)
-        - _pair_bilinear(a, b, t, triples)
+        + D * _pair([m - c for m, c in zip(m2, t)], t, quadratic)
+        - _pair_bilinear(u, t, t, triples)
     )
     cube = D**3
     return VirtualChernNumbers(Fraction(c1_sq, cube), Fraction(c2, cube), diff)
@@ -180,12 +183,12 @@ def double_point_check(
     - (c_1(M) - c_1) c_1(M), the pairing form of c_1(Z)^2 + int[ -((c_1(M)
     - c_1) c_1(M) c_2 - c_1(M) c_3) + c_2(M) c_2 - c_2^2 ]; c_1(Z)^2 and c_i =
     c_i(B - A) are read from ``numbers``, each term of w as one pairing.
-    Callers compare the result against ``numbers.c2``.  Both share c(B - A)
-    and agree identically once c(B - A) = c(B) / c(A), so a mismatch shows a
-    ring slip or an error in one of the two formulas alone; an error common
-    to both formulas cancels and is not seen.
+    Callers compare the result against ``numbers.c2``.  Both read the same
+    c(B - A) and c(T_M) and agree identically, so a mismatch shows an error in
+    one of the two formulas alone; an error common to both formulas, or a slip
+    in c(B - A), is not seen.
     """
-    D, (t, _, _, m1, m2) = _over_one_denominator(inp, numbers.difference.total_chern)
+    D, (t, m1, m2) = _over_one_denominator(inp, numbers.difference.total_chern)
     linear, quadratic, triples = _dual_indices(inp.space.dims)
     u = [m - c for m, c in zip(m1, t)]  # c_1(M) - c_1 in degree 1
     w = (
@@ -194,8 +197,3 @@ def double_point_check(
         - _pair_bilinear(u, m1, t, triples)
     )
     return numbers.c1_sq + Fraction(w, D**3)
-
-
-def degeneracy_class(inp: DegeneracyInput) -> ChowElement:
-    """The expected class of Z: c_2(B - A)."""
-    return chern(virtual_difference(inp.B, inp.A), 2)

@@ -73,19 +73,12 @@ def test_criterion_3_corrected_formula_identity():
 
 
 def test_criterion_4_geometric_degree_audit():
-    from degloci import (
-        DegeneracyInput,
-        ambient_tangent_of_product,
-        degeneracy_class,
-        hyperplane,
-        resolve_bundles,
-    )
+    from degloci import chern, hyperplane, resolve_bundles, virtual_difference
 
     scenario = load_bundled_scenario("m15")
     env = resolve_bundles(scenario)
-    c1, c2 = ambient_tangent_of_product(scenario.space)
-    inp = DegeneracyInput(scenario.space, c1, c2, env["A"], env["B"])
-    cls = degeneracy_class(inp)
+    # The expected class of Z: c_2(B - A).
+    cls = chern(virtual_difference(env["B"], env["A"]), 2)
     h1 = hyperplane(scenario.space, 1)
     h2 = hyperplane(scenario.space, 2)
     checks = [

@@ -63,6 +63,8 @@ def test_line_bundle_validation():
 def test_bundle_class_requires_unit_total_chern():
     with pytest.raises(ValueError):
         BundleClass(P13, 1, H1)
+    with pytest.raises(SpaceMismatchError, match="lives on a different space"):
+        BundleClass(P13, 1, ChowElement.one(ProductSpace((2, 2))))
 
 
 def test_direct_sum_examples():

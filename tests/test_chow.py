@@ -83,6 +83,13 @@ def test_scalar_arithmetic():
     assert (x - 1) == 2 * H1
     assert (3 - 2 * H1) == ChowElement(P13, {(0, 0): 3, (1, 0): -2})
     assert Fraction(1, 2) * H1 == ChowElement(P13, {(1, 0): Fraction(1, 2)})
+    assert (3 * ChowElement.one(P13) == 3) is False
+    # Only ints (not bools) and Fractions are scalars.
+    for operation in (
+        lambda: x + 1.5, lambda: x + True, lambda: x - None, lambda: "a" - x, lambda: x * "a",
+    ):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_pow():
@@ -183,6 +190,9 @@ def test_immutability_and_hash():
     x = H1 + H2
     with pytest.raises(AttributeError):
         x._terms = {}
+    with pytest.raises(AttributeError, match="cannot delete field '_den'"):
+        del x._den
+    assert x + x == 2 * (H1 + H2)
     assert hash(H1 + H2) == hash(H2 + H1)
     assert len({H1, H1, H2}) == 2
 

@@ -68,6 +68,24 @@ def test_config_file(tmp_path, capsys):
     assert "c2(Z) = 3" in out
 
 
+def test_slope_of_a_family_with_lambda_zero_is_undefined(tmp_path, capsys):
+    # m15 with fiber genus 47 over a genus-2 base: kappa + delta = 0.
+    m15 = Path(degloci.__file__).parent / "scenarios" / "m15.json"
+    data = json.loads(m15.read_text(encoding="utf-8"))
+    data["family"] = {"fiber_genus": 47, "base_genus": 2}
+    path = tmp_path / "lambda0.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for fmt in ("exact", "decimal"):
+        code, out, err = run_cli(capsys, "--config", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "\nlambda = 0\nslope = undefined\n" in out
+    code, out, err = run_cli(capsys, "--config", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    values = json.loads(out)["values"]
+    assert values["lambda"]["exact"] == "0"
+    assert values["slope"] == {"kind": "rational", "exact": None, "decimal": None}
+
+
 def test_missing_config_exits_1(capsys):
     code, out, err = run_cli(capsys, "--config", "/no/such/file.json")
     assert code == 1

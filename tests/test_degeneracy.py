@@ -7,6 +7,7 @@ from itertools import product
 from math import prod
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,9 @@ from degloci import (
     DegeneracyInput,
     ProductSpace,
     RankError,
+    SpaceMismatchError,
     ambient_tangent_of_product,
     chern,
-    degeneracy_class,
     direct_sum,
     double_point_check,
     hyperplane,
@@ -28,6 +29,7 @@ from degloci import (
     trivial_bundle,
     twist,
     virtual_chern_numbers,
+    virtual_difference,
 )
 from degloci.chow import _dual_indices
 from degloci.degeneracy import _pair, _pair_bilinear
@@ -94,6 +96,25 @@ def closed_forms(inp: DegeneracyInput, difference: BundleClass):
     return c1_sq_class, c2_class
 
 
+def test_c2_multiplier_reads_only_the_difference_and_the_tangent_classes():
+    """The X of the c_2(Z) formula, written with c(A) and c(B) as displayed,
+    is c_2(M) - c_1(M) c_1 + c_1^2 - c_2 = c_2(T_M + A - B), c_i = c_i(B - A).
+
+    Chern classes are free symbols graded by h, and c(B) = c(A) c(V) with
+    V = B - A, in degrees up to 2.
+    """
+    h = sp.Symbol("h")
+    a1, a2, v1, v2, m1, m2 = sp.symbols("a1 a2 v1 v2 m1 m2")
+    cA, cV, cM = (1 + x * h + y * h**2 for x, y in ((a1, a2), (v1, v2), (m1, m2)))
+    cB = sp.expand(cA * cV)
+    b1, b2 = cB.coeff(h, 1), cB.coeff(h, 2)
+    displayed = m2 - m1 * v1 + a2 - b2 + b1**2 - a1 * b1
+    shorter = m2 - m1 * v1 + v1**2 - v2
+    assert sp.expand(displayed - shorter) == 0
+    c_virtual = sp.expand(sp.series(cM * cA / cB, h, 0, 3).removeO())
+    assert sp.expand(c_virtual.coeff(h, 2) - shorter) == 0
+
+
 def test_m15_virtual_chern_numbers():
     inp = m15_input()
     numbers = virtual_chern_numbers(inp)
@@ -131,16 +152,16 @@ def test_trivial_instance_is_zero():
 
 
 def test_degeneracy_class_and_geometric_degrees():
+    # The expected class of Z is c_2(B - A).
     inp = m15_input()
-    cls = degeneracy_class(inp)
+    cls = chern(virtual_difference(inp.B, inp.A), 2)
     assert cls == 16 * H1 * H2 + 14 * H2**2
     assert (cls * H1 * H2).integrate() == 14
     assert (cls * H2**2).integrate() == 16
 
     A = trivial_bundle(P13, 3)
     B = direct_sum(A, trivial_bundle(P13))
-    c1, c2 = ambient_tangent_of_product(P13)
-    assert degeneracy_class(DegeneracyInput(P13, c1, c2, A, B)).is_zero()
+    assert chern(virtual_difference(B, A), 2).is_zero()
 
 
 def test_input_validation():
@@ -163,6 +184,12 @@ def test_input_validation():
         DegeneracyInput(P13, c1 + c2, c2, A, trivial_bundle(P13, 5))
     with pytest.raises(ValueError):
         DegeneracyInput(P13, c1, c1, A, trivial_bundle(P13, 5))
+
+    P22 = ProductSpace((2, 2))
+    with pytest.raises(SpaceMismatchError, match="all inputs must live on the ambient"):
+        DegeneracyInput(P13, c1, c2, A, trivial_bundle(P22, 5))
+    with pytest.raises(SpaceMismatchError, match="all inputs must live on the ambient"):
+        DegeneracyInput(P13, *ambient_tangent_of_product(P22), A, trivial_bundle(P13, 5))
 
 
 def test_rank_refusal_survives_a_rank_too_long_to_print():

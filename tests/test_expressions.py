@@ -215,6 +215,11 @@ def test_evaluate_unknown_name():
         evaluate_expression("sum(E, O(0,1))", P13)
 
 
+def test_evaluate_refuses_a_node_that_is_not_an_expression():
+    with pytest.raises(ExpressionError, match="^unhandled expression node 42$"):
+        evaluate_expression(42, P13)
+
+
 def test_evaluate_wrong_arity_for_space():
     with pytest.raises(ExpressionError):
         evaluate_expression("O(1,0,0)", P13)

@@ -1,4 +1,4 @@
-"""The package surface: 48 names resolved from submodules that load on first use."""
+"""The package surface: 47 names resolved from submodules that load on first use."""
 
 import subprocess
 import sys
@@ -21,7 +21,7 @@ EXPORTS = {
     "chow": ["ChowElement", "ProductSpace", "hyperplane"],
     "degeneracy": [
         "DegeneracyInput", "VirtualChernNumbers", "ambient_tangent_of_product",
-        "degeneracy_class", "double_point_check", "virtual_chern_numbers",
+        "double_point_check", "virtual_chern_numbers",
     ],
     "errors": [
         "ExpressionError", "InternalCheckError", "NonUnitError", "RankError",
@@ -40,8 +40,8 @@ NAMES = sorted(name for names in EXPORTS.values() for name in names)
 SUBMODULES = sorted([*EXPORTS, "record"])
 
 
-def test_all_lists_the_48_exported_names():
-    assert len(NAMES) == 48
+def test_all_lists_the_47_exported_names():
+    assert len(NAMES) == 47
     assert degloci.__all__ == NAMES
 
 
@@ -63,6 +63,10 @@ def test_star_import_and_dir_cover_every_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'degloci' has no attribute 'nope'"):
         degloci.nope
+    # The expected class of Z is chern(virtual_difference(B, A), 2); no alias is kept.
+    with pytest.raises(AttributeError):
+        degloci.degeneracy_class
+    assert not hasattr(degloci.degeneracy, "degeneracy_class")
 
 
 def test_a_name_rebound_in_its_submodule_reads_the_same_through_the_package(monkeypatch):

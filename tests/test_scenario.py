@@ -3,6 +3,7 @@
 import copy
 import gc
 import json
+import pathlib
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import degloci.degeneracy
 import degloci.scenario
 from degloci import (
     ScenarioError,
+    chern,
     dual,
     load_bundled_scenario,
     load_scenario,
@@ -58,6 +60,14 @@ def test_bundled_scenarios_load():
 def test_missing_file():
     with pytest.raises(ScenarioError):
         load_scenario("/no/such/scenario.json")
+
+
+def test_bytes_path_is_refused_as_pathlib_refuses_it():
+    with pytest.raises(TypeError) as expected:
+        pathlib.PurePosixPath(b"x.json")
+    with pytest.raises(TypeError) as refused:
+        load_scenario(b"x.json")
+    assert str(refused.value) == str(expected.value)
 
 
 def test_bundle_name_rules():
@@ -182,6 +192,62 @@ def test_double_point_check_fails_on_perturbed_numbers(monkeypatch, name, pertur
     )
     report = run_scenario(SINGLE_PASS_LOADERS[name](), check=True)
     assert [c.key for c in report.checks if not c.passed] == ["double_point_c2"]
+
+
+def _superseded_c2(inp, numbers):
+    """c_2(Z) with the superseded c_3 coefficient, +c_1(M) + 2 c_1."""
+    c3_term = (inp.tangent_c1 * chern(numbers.difference, 3)).integrate()
+    return numbers._replace(c2=numbers.c2 + 2 * c3_term)
+
+
+def _plus_c4_in_both(inp, numbers):
+    c4 = chern(numbers.difference, 4).integrate()  # 24 on m15
+    return numbers._replace(c1_sq=numbers.c1_sq + c4, c2=numbers.c2 + c4)
+
+
+# Known formula errors, each applied to the numbers that run_scenario gets:
+# the c1(Z)^2 and c2(Z) that m15 then reports, and the check lines that must
+# read FAIL with their details.
+FORMULA_ERRORS = [
+    pytest.param(
+        _superseded_c2, ("216", "648"), {"double_point_c2": "336 vs 648"}, id="superseded_c2"
+    ),
+    pytest.param(
+        lambda inp, numbers: numbers._replace(c1_sq=numbers.c1_sq + 1),
+        ("217", "336"),
+        {"double_point_c2": "337 vs 336", "noether_lambda": "c1(Z)^2 + c2(Z) = 553"},
+        id="c1_sq_plus_1",
+    ),
+    pytest.param(
+        lambda inp, numbers: numbers._replace(c1_sq=numbers.c1_sq + 1, c2=numbers.c2 + 1),
+        ("217", "337"),
+        {"noether_lambda": "c1(Z)^2 + c2(Z) = 554"},
+        id="both_plus_1",
+    ),
+    pytest.param(
+        _plus_c4_in_both, ("240", "360"), {}, id="both_plus_c4",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="an error common to both formulas that keeps 12 | c1(Z)^2 + c2(Z) "
+            "passes every check line; ROADMAP item 1's resolution check is to catch it",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, reported, fails", FORMULA_ERRORS)
+def test_check_lines_catch_each_known_formula_error_on_m15(
+    monkeypatch, mutate, reported, fails
+):
+    evaluate = degloci.scenario.virtual_chern_numbers
+    monkeypatch.setattr(
+        degloci.scenario, "virtual_chern_numbers", lambda inp: mutate(inp, evaluate(inp))
+    )
+    report = run_scenario(load_bundled_scenario("m15"), check=True)
+    assert (report.value("c1(Z)^2"), report.value("c2(Z)")) == reported
+    failed = {check.key: check.detail for check in report.checks if not check.passed}
+    assert failed, "no check line reads FAIL"
+    assert failed == fails
 
 
 def test_base_change_cross_check_against_family_stage():
