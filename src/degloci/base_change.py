@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import SlopeUndefinedError
-from .exact import as_fraction, message_text, refuse
+from .exact import _all_int, as_fraction, integer, message_text
 from .record import Record
 
 
@@ -57,16 +57,14 @@ class BaseChangeParams(Record):
         base_delta_rest: tuple[Fraction, ...] = (),
     ):
         ints = (m1, m2, g_A1, g_A2, A1_sq, A2_sq, A12, base_genus)
-        for name, v in zip(self.__slots__, ints):
-            if not isinstance(v, int) or isinstance(v, bool):
-                refuse(v, f"{name} must be an integer")
+        # One pass over the types; each text is built only for a value that is not an int.
+        if not _all_int(map(type, ints)):
+            for name, v in zip(self.__slots__, ints):
+                integer(v, f"{name} must be an integer")
         if m1 < 1 or m2 < 1:
-            raise ValueError(
-                "multisection degrees must be at least 1, "
-                f"got m1={message_text(m1)}, m2={message_text(m2)}"
-            )
-        if A12 < 0:
-            refuse(A12, "A1.A2 must be nonnegative")
+            got = f"m1={message_text(m1)}, m2={message_text(m2)}"
+            raise ValueError(f"multisection degrees must be at least 1, got {got}")
+        integer(A12, "A1.A2 must be nonnegative", low=0)
         self._fill(
             *ints,
             as_fraction(base_lambda),
@@ -76,11 +74,9 @@ class BaseChangeParams(Record):
 
     def _side(self, ell: int) -> tuple[int, int, int, int]:
         """(m_l, g(A_l), A_l^2, m_{3-l}) for l in {1, 2}."""
-        if ell == 1:
+        if integer(ell, "multisection index must be 1 or 2", low=1, high=2) == 1:
             return self.m1, self.g_A1, self.A1_sq, self.m2
-        if ell == 2:
-            return self.m2, self.g_A2, self.A2_sq, self.m1
-        refuse(ell, "multisection index must be 1 or 2")
+        return self.m2, self.g_A2, self.A2_sq, self.m1
 
 
 class PullbackSlope(Record):

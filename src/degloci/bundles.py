@@ -23,9 +23,9 @@ and a kernel or difference is one division; none takes repeated products.
 
 from __future__ import annotations
 
-from .chow import _INT, ChowElement, ProductSpace, _one_plus_linear_power
+from .chow import ChowElement, ProductSpace, _one_plus_linear_power
 from .errors import RankError, SpaceMismatchError
-from .exact import message_text, refuse
+from .exact import _all_int, integer, message_text, refuse
 from .record import Record, _setters
 
 
@@ -39,8 +39,7 @@ class BundleClass(Record):
     __slots__ = ("space", "rank", "total_chern")
 
     def __init__(self, space: ProductSpace, rank: int, total_chern: ChowElement):
-        if not isinstance(rank, int) or isinstance(rank, bool):
-            refuse(rank, "rank must be an integer", TypeError)
+        integer(rank, "rank must be an integer", error=TypeError)
         if total_chern.space is not space and total_chern.space != space:
             raise SpaceMismatchError(
                 "total Chern class lives on a different space than the bundle"
@@ -83,12 +82,10 @@ def line_bundle(
     if len(degrees) != k:
         refuse(len(degrees), f"expected {k} twisting degrees")
     # One pass over the types; the loop runs only for an entry that is not an int.
-    if not _INT.issuperset(map(type, degrees)):
+    if not _all_int(map(type, degrees)):
         for a in degrees:
-            if not isinstance(a, int) or isinstance(a, bool):
-                refuse(a, "twisting degrees must be integers")
-    if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity <= 0:
-        refuse(multiplicity, "multiplicity must be a positive integer")
+            integer(a, "twisting degrees must be integers")
+    integer(multiplicity, "multiplicity must be a positive integer", low=1)
     total = _one_plus_linear_power(space, degrees, multiplicity)
     return _bundle(space, multiplicity, total)
 
@@ -157,6 +154,5 @@ def virtual_difference(B: BundleClass, A: BundleClass) -> BundleClass:
 
 def chern(E: BundleClass, i: int) -> ChowElement:
     """The i-th Chern class, the degree-i part of the total Chern class."""
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        refuse(i, "Chern-class index must be a nonnegative integer")
+    integer(i, "Chern-class index must be a nonnegative integer", low=0)
     return E.total_chern.graded_part(i)

@@ -88,7 +88,7 @@ from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 
 from .errors import NonUnitError, SpaceMismatchError
-from .exact import as_fraction, message_text, refuse
+from .exact import _all_int, as_fraction, integer, message_text, refuse
 from .record import Record, _setters
 
 
@@ -102,8 +102,7 @@ class ProductSpace(Record):
         if not dims:
             raise ValueError("a product space needs at least one projective factor")
         for n in dims:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                refuse(n, "factor dimensions must be positive integers")
+            integer(n, "factor dimensions must be positive integers", low=1)
         self._fill(dims)
 
     # Spaces are compared on every bundle operation: compare dims directly.
@@ -209,11 +208,7 @@ def _check_exponents(exps: tuple, k: int):
             f"exponent vector {message_text(exps)} has length {len(exps)}, expected {k}"
         )
     for e in exps:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            refuse(e, "exponents must be nonnegative integers")
-
-
-_INT = frozenset({int})
+        integer(e, "exponents must be nonnegative integers", low=0)
 
 
 def _scalar(value) -> tuple[int, int] | None:
@@ -251,7 +246,7 @@ class ChowElement(Record):
         for exps, coeff in items:
             exps = tuple(exps)
             # (1.0, 0) and (True, 0) equal (1, 0), so only all-int tuples skip the check.
-            i = index.get(exps) if _INT.issuperset(map(type, exps)) else None
+            i = index.get(exps) if _all_int(map(type, exps)) else None
             if i is None:
                 _check_exponents(exps, k)
                 i = index.get(exps)
@@ -276,6 +271,10 @@ class ChowElement(Record):
     # not the stored fields that Record.__reduce__ would pass it.
     def __reduce__(self):
         return _make, (self._space, self._nums, self._den)
+
+    # Record._replace would pass the stored fields to the constructor too.
+    def _replace(self, **changes):
+        raise TypeError("ChowElement has no _replace: its constructor takes terms, not fields")
 
     # -- constructors ------------------------------------------------------
 
@@ -377,8 +376,7 @@ class ChowElement(Record):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            refuse(exponent, "exponent must be a nonnegative integer")
+        integer(exponent, "exponent must be a nonnegative integer", low=0)
         result = None
         base = self
         n = exponent
@@ -395,8 +393,7 @@ class ChowElement(Record):
 
     def graded_part(self, degree: int) -> "ChowElement":
         """The sum of terms of the given total degree."""
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-            refuse(degree, "degree must be a nonnegative integer")
+        integer(degree, "degree must be a nonnegative integer", low=0)
         degrees = _table(self._space.dims).degrees
         return _reduced(
             self._space,
@@ -580,8 +577,8 @@ def _dual_indices(dims: tuple[int, ...]) -> tuple[list, list, list]:
 
 def hyperplane(space: ProductSpace, i: int) -> ChowElement:
     """The hyperplane class H_i of the i-th factor (1-based index)."""
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= space.num_factors:
-        refuse(i, f"factor index must be between 1 and {space.num_factors}")
+    k = space.num_factors
+    integer(i, f"factor index must be between 1 and {k}", low=1, high=k)
     table = _table(space.dims)
     nums = [0] * len(table.monomials)
     nums[table.linear[i - 1]] = 1

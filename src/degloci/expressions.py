@@ -63,6 +63,16 @@ _OPERATORS = {
 
 _KEYWORDS = frozenset({"O", *_OPERATORS})
 
+
+# On ASCII text, str.isidentifier is exactly the name token [A-Za-z_][A-Za-z0-9_]*.
+def _is_bundle_name(text) -> bool:
+    """Whether ``text`` is one whole name token of ``_TOKEN_RE``, not a keyword."""
+    return (
+        isinstance(text, str) and text.isascii() and text.isidentifier()
+        and text not in _KEYWORDS
+    )
+
+
 MAX_DEPTH = 100
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import as_fraction, refuse
+from .exact import as_fraction, integer
 from .record import Record
 
 
@@ -52,10 +52,8 @@ def invariants_from_chern_numbers(
     Fiber genus below 2 is rejected unless ``allow_low_genus`` is set, since
     the slope story is only meaningful for stable fibers.
     """
-    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-        refuse(g, "fiber genus must be a nonnegative integer")
-    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-        refuse(q, "base genus must be a nonnegative integer")
+    integer(g, "fiber genus must be a nonnegative integer", low=0)
+    integer(q, "base genus must be a nonnegative integer", low=0)
     if g < 2 and not allow_low_genus:
         raise ValueError(
             f"fiber genus {g} is below 2; pass allow_low_genus=True to accept it"

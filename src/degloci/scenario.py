@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -46,10 +45,10 @@ from .degeneracy import (
     virtual_chern_numbers,
 )
 from .errors import ExpressionError, ScenarioError
-from .exact import as_fraction, message_text, refuse
+from .exact import as_fraction, integer, message_text, refuse
 from .expressions import (
-    _KEYWORDS,
     Expression,
+    _is_bundle_name,
     _referenced_names,
     evaluate_expression,
     parse_expression,
@@ -61,8 +60,6 @@ from .report import (
 )
 
 BUNDLED_SCENARIOS = ("m15", "m16")
-
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class Scenario(Record):
@@ -156,9 +153,10 @@ def _as_str(value, where: str) -> str:
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        refuse(value, f"{where}: expected an integer", ScenarioError)
-    return value
+    # The refusal text is built only for a value that is not a plain int.
+    if value.__class__ is int:
+        return value
+    return integer(value, f"{where}: expected an integer", error=ScenarioError)
 
 
 def _as_bool(value, where: str) -> bool:
@@ -226,6 +224,9 @@ def _read_document(data) -> Scenario:
     top = _as_object(data, None)
 
     name = _as_str(top["name"], "name")
+    # A report is one "key = value" line each, so a line break would forge lines.
+    if name.splitlines() != [name]:
+        refuse(name, "name: expected a single line", ScenarioError)
 
     dims = _as_list(top["space"], "space", "nonempty list of dimensions", nonempty=True)
     with _stage("space"):
@@ -236,7 +237,7 @@ def _read_document(data) -> Scenario:
         _fail("bundles", "at least one bundle is required")
     bundle_exprs = []
     for bname, expr in bundles_raw.items():
-        if not _NAME_RE.match(bname) or bname in _KEYWORDS:
+        if not _is_bundle_name(bname):
             _fail("bundles", f"{bname!r} is not a usable bundle name")
         text = _as_str(expr, f"bundles.{bname}")
         try:

@@ -300,6 +300,10 @@ _LONG_RATIONALS = [
 ]
 
 
+# Line boundaries of str.splitlines, which a one-line report field must not hold.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\u2028"]
+
+
 @st.composite
 def hostile_scenario_texts(draw):
     """The JSON text of minimal_data() with long literals and long name chains.
@@ -310,7 +314,8 @@ def hostile_scenario_texts(draw):
     chain of up to 400 names.  Sometimes a base_change block is added, which
     agrees with the family stage of minimal_data() (lambda 2, delta 7) until
     a long literal goes into one of its integers or a long 'p/q' string into
-    one of its rationals.
+    one of its rationals.  Last, a line break may go into the scenario name
+    or into the name of A or B, alone at its end or before a forged line.
     """
     data = minimal_data()
     bundles = data["bundles"]
@@ -355,6 +360,17 @@ def hostile_scenario_texts(draw):
         bundles[f"N{links - 1}"] = bundles[target]
         bundles.update({f"N{i}": f"N{i + 1}" for i in range(links - 1)})
         bundles[target] = "N0"
+    # In a quarter of the files: the name is refused first, hiding the places above.
+    if draw(st.integers(0, 3)) == 3:
+        named = draw(st.sampled_from(["name", "A", "B"]))
+        line_break = draw(st.sampled_from(_LINE_BREAKS))
+        tail = draw(st.sampled_from(["", "slope = 7"]))
+        if named == "name":
+            data["name"] += line_break + tail
+        else:
+            renamed = named + line_break + tail
+            bundles[renamed] = bundles.pop(named)
+            data["degeneracy"][named.lower()] = renamed
     text = json.dumps(data)
     for placeholder, literal in integers.items():
         text = text.replace(f'"{placeholder}"', literal)

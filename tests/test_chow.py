@@ -197,6 +197,15 @@ def test_immutability_and_hash():
     assert len({H1, H1, H2}) == 2
 
 
+def test_replace_is_refused_by_name():
+    # The constructor takes terms, not the stored fields Record._replace would pass.
+    with pytest.raises(TypeError) as info:
+        H1._replace(_den=2)
+    assert str(info.value) == (
+        "ChowElement has no _replace: its constructor takes terms, not fields"
+    )
+
+
 def test_coefficients_reject_floats():
     with pytest.raises(TypeError):
         ChowElement(P13, {(1, 0): 0.5})

@@ -280,10 +280,15 @@ _LONG_DELTA_SUM = json.dumps(
     )
 )
 
+_M15 = Path(degloci.__file__).parent / "scenarios" / "m15.json"
+# m15 with a name that would print a forged "slope = 7" line before the real one.
+_FORGED_SLOPE = json.dumps({**json.loads(_M15.read_text()), "name": "m15\nslope = 7"})
+
 
 @settings(max_examples=40, deadline=None)
 @given(stg.hostile_scenario_texts(), st.sampled_from(sorted(RENDERERS)))
 @example(_LONG_DELTA_SUM, "exact")
+@example(_FORGED_SLOPE, "exact")
 def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(
     tmp_path_factory, text, output_format
 ):
@@ -306,6 +311,10 @@ def test_hostile_files_end_in_a_report_an_error_or_a_failed_check(
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+    # Exact and decimal reports are two header lines, then one line per entry and check.
+    if code == 0 and output_format != "json":
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 2 + len(report.entries) + len(report.checks)
     # Python's digit-limit text replaces a refusal's reason, except where
     # the JSON parser's own message is quoted.
     limit_text = err.getvalue().find("for integer string conversion")

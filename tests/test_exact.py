@@ -201,6 +201,62 @@ def test_refusal_survives_a_number_too_long_to_print(refused, message):
     assert str(info.value) == message
 
 
+# Each site of exact.integer, as a call on a bad value, and the text it refuses with.
+_INTEGER_SITES = [
+    (lambda v: ProductSpace((v,)), "factor dimensions must be positive integers"),
+    (lambda v: ChowElement(_P13, {(v, 0): 1}), "exponents must be nonnegative integers"),
+    (lambda v: hyperplane(_P13, 1) ** v, "exponent must be a nonnegative integer"),
+    (lambda v: ChowElement.one(_P13).graded_part(v), "degree must be a nonnegative integer"),
+    (lambda v: hyperplane(_P13, v), "factor index must be between 1 and 2"),
+    (lambda v: line_bundle(_P13, (v, 0)), "twisting degrees must be integers"),
+    (lambda v: line_bundle(_P13, (0, 0), v), "multiplicity must be a positive integer"),
+    (
+        lambda v: chern(trivial_bundle(_P13), v),
+        "Chern-class index must be a nonnegative integer",
+    ),
+    (
+        lambda v: invariants_from_chern_numbers(0, 0, v, 0),
+        "fiber genus must be a nonnegative integer",
+    ),
+    (
+        lambda v: invariants_from_chern_numbers(0, 0, 2, v),
+        "base genus must be a nonnegative integer",
+    ),
+    (lambda v: _params(m2=v), "m2 must be an integer"),
+    # The type test of the eight integers comes before A1.A2 >= 0.
+    (lambda v: _params(A12=v), "A12 must be an integer"),
+    (lambda v: _params()._side(v), "multisection index must be 1 or 2"),
+    (
+        lambda v: parse_scenario_data(minimal_data(family={"fiber_genus": v, "base_genus": 0})),
+        "<scenario>: family.fiber_genus: expected an integer",
+    ),
+    (lambda v: decimal_text(Fraction(1, 3), v), "significant_digits must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["True", "1.0"])
+@pytest.mark.parametrize(
+    "refused, expectation",
+    _INTEGER_SITES,
+    ids=[
+        "dims", "exponent", "power", "degree", "factor index", "twisting degree",
+        "multiplicity", "Chern index", "g", "q", "m2", "A12", "ell", "schema",
+        "significant digits",
+    ],
+)
+def test_integer_arguments_refuse_a_bool_and_a_float(refused, expectation, bad):
+    with pytest.raises(ValueError) as info:
+        refused(bad)
+    assert str(info.value) == f"{expectation}, got {bad!r}"
+
+
+def test_rank_refuses_a_bool_and_a_float_as_a_type_error():
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError) as info:
+            BundleClass(_P13, bad, ChowElement.one(_P13))
+        assert str(info.value) == f"rank must be an integer, got {bad!r}"
+
+
 def test_ring_tables_stop_at_the_monomial_bound():
     # (80, 80) would take seconds to tabulate; the bound refuses it at once.
     for dims, count in (((80, 80), 6561), ((2500,), 2501)):

@@ -28,6 +28,7 @@ from degloci.expressions import (
     Apply,
     LineBundleExpr,
     NameRef,
+    _is_bundle_name,
     _parse_all,
 )
 from strategies import expression_texts, printed_expressions
@@ -236,3 +237,22 @@ def test_documented_grammar_keywords_match_table():
     doc = (Path(__file__).parents[1] / "docs" / "scenario-format.md").read_text()
     grammar = doc.split("## Bundle expression grammar", 1)[1].split("```")[1]
     assert set(re.findall(r"\b([A-Za-z_]\w*)\(", grammar)) == _KEYWORDS
+
+
+@settings(max_examples=300, deadline=None)
+@example("A\n")
+@example("\u00c9")
+@example("sum")
+@given(
+    st.one_of(
+        st.text(alphabet="AOZaz_09 \t\n\r\u2028\u00c9\u0663(", max_size=6),
+        st.sampled_from(sorted(_KEYWORDS)),
+    )
+)
+def test_a_bundle_name_is_what_the_parser_reads_as_one_name(text):
+    # The schema's rule and the parser's name token must agree, whole.
+    try:
+        parsed = parse_expression(text)
+    except ExpressionError:
+        parsed = None
+    assert _is_bundle_name(text) == (parsed == NameRef(text))

@@ -74,6 +74,9 @@ def test_bundle_name_rules():
     for keyword in sorted(_KEYWORDS):
         with pytest.raises(ScenarioError, match="not a usable bundle name"):
             parse_scenario_data(minimal_data(bundles={keyword: "O(0,0)^1"}))
+    # A decoded document passed in directly may have keys that are not strings.
+    with pytest.raises(ScenarioError, match="bundles: 1 is not a usable bundle name"):
+        parse_scenario_data(minimal_data(bundles={1: "O(0,0)^1"}))
 
 
 def test_reference_cycle_detected():
@@ -335,6 +338,8 @@ LOAD_ERRORS = [
     ({"name": 1}, "name: expected a nonempty string, got 1"),
     ({"name": "  "}, "name: expected a nonempty string, got '  '"),
     ({"name": 10**4301}, f"name: expected a nonempty string, got {_NOT_SHOWN}"),
+    # A line break would let a name forge a line of the report.
+    ({"name": "m15\nslope = 7"}, "name: expected a single line, got 'm15\\nslope = 7'"),
     ({"space": "1,3"}, "space: expected a nonempty list of dimensions"),
     ({"space": []}, "space: expected a nonempty list of dimensions"),
     ({"space": [1, "3"]}, "space: expected an integer, got '3'"),
@@ -355,6 +360,14 @@ LOAD_ERRORS = [
     (
         {"bundles": {"A": "O(0,0)^1", "1B": "O(1,0)^2"}},
         "bundles: '1B' is not a usable bundle name",
+    ),
+    (
+        {"bundles": {"A": "O(0,0)^1", "A\n": "O(1,0)^2"}},
+        "bundles: 'A\\n' is not a usable bundle name",
+    ),
+    (
+        {"bundles": {"A": "O(0,0)^1", "\u00c9": "O(1,0)^2"}},
+        "bundles: '\u00c9' is not a usable bundle name",
     ),
     ({"bundles.B": 5}, "bundles.B: expected a nonempty string, got 5"),
     ({"bundles.B": ""}, "bundles.B: expected a nonempty string, got ''"),
