@@ -37,11 +37,16 @@ function.  On a shared 2-vCPU host, a chunk of about 500 pairs takes about
 memory.  Larger spaces, such as (9,9) with 3025 pairs, keep the loops over
 partner pairs (``_LOOPS``), where a square is the product loop on x and x.
 
-The public constructor checks an exponent vector in full only when its
-lookup misses or holds a non-int, reads int and Fraction coefficients as
-integer ratios, accumulates integer numerators over one lcm of the
-denominators and reduces once; ring operations build their results
-canonical directly and skip it.
+The public constructor reads a ``dict``, or a term view such as ``x.terms``,
+in whole-map passes: one exact type test over the keys, one over all their
+entries and one over the values, one lookup of every key and one list of
+integer ratios.  If a key is not a tuple of ints inside the truncation or a
+value is not an int or Fraction, it reads the terms one at a time instead, as
+it reads any other mapping or iterable of pairs: it checks an exponent vector
+in full only when its lookup misses or holds a non-int, coerces each
+coefficient, and so refuses the first bad term.  Either way it accumulates
+integer numerators over one lcm of the denominators and reduces once; ring
+operations build their results canonical directly and skip it.
 
 The degree map ``integrate`` reads off the coefficient of the socle monomial
 H_1^{n_1} ... H_k^{n_k}, the last index N - 1.  Index i and index N - 1 - i
@@ -83,7 +88,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import product
+from itertools import chain, product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 
@@ -201,6 +206,11 @@ def _reduced(space: ProductSpace, nums: list, den: int) -> "ChowElement":
     return _make(space, *_lowest(nums, den))
 
 
+# Exact type tests over a whole map, bound once like ``exact._all_int``.
+_all_tuple = frozenset({tuple}).issuperset
+_all_scalar = frozenset({int, Fraction}).issuperset
+
+
 def _check_exponents(exps: tuple, k: int):
     """Refuse an exponent vector of the wrong length or with a bad entry."""
     if len(exps) != k:
@@ -218,6 +228,41 @@ def _scalar(value) -> tuple[int, int] | None:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     return None
+
+
+def _read_map(index: dict, terms) -> tuple[list, list] | None:
+    """Indices and integer ratios of a map's terms, or None unless every key is
+    a tuple of ints inside the truncation and every value an int or Fraction."""
+    if (
+        _all_tuple(map(type, terms))
+        # Only all-int keys are looked up, as in _read_pairs.
+        and _all_int(map(type, chain.from_iterable(terms)))
+        and _all_scalar(map(type, terms.values()))
+    ):
+        where = list(map(index.get, terms))
+        if None not in where:
+            return where, [c.as_integer_ratio() for c in terms.values()]
+    return None
+
+
+def _read_pairs(k: int, index: dict, terms) -> tuple[list, list]:
+    """Indices and integer ratios of the terms inside the truncation, checking
+    every term in order, so the first bad one is refused."""
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    where, ratios = [], []
+    for exps, coeff in items:
+        exps = tuple(exps)
+        # (1.0, 0) and (True, 0) equal (1, 0), so only all-int tuples skip the check.
+        i = index.get(exps) if _all_int(map(type, exps)) else None
+        if i is None:
+            _check_exponents(exps, k)
+            i = index.get(exps)
+        t = type(coeff)
+        c = coeff if t is int or t is Fraction else as_fraction(coeff)
+        if i is not None:
+            where.append(i)
+            ratios.append(c.as_integer_ratio())
+    return where, ratios
 
 
 def _term_text(v: int, den: int, label: str) -> str:
@@ -239,27 +284,13 @@ class ChowElement(Record):
     def __init__(self, space: ProductSpace, terms=()):
         if not isinstance(space, ProductSpace):
             raise TypeError(f"expected a ProductSpace, got {type(space).__name__}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        k = space.num_factors
         index = _table(space.dims).index
-        where, ps, qs = [], [], []
-        for exps, coeff in items:
-            exps = tuple(exps)
-            # (1.0, 0) and (True, 0) equal (1, 0), so only all-int tuples skip the check.
-            i = index.get(exps) if _all_int(map(type, exps)) else None
-            if i is None:
-                _check_exponents(exps, k)
-                i = index.get(exps)
-            t = type(coeff)
-            c = coeff if t is int or t is Fraction else as_fraction(coeff)
-            p, q = c.as_integer_ratio()
-            if i is not None:
-                where.append(i)
-                ps.append(p)
-                qs.append(q)
-        den = lcm(*qs)
+        kind = type(terms)
+        read = _read_map(index, terms) if kind is dict or kind is MappingProxyType else None
+        where, ratios = read or _read_pairs(space.num_factors, index, terms)
+        den = lcm(*{q for _, q in ratios})
         nums = [0] * len(index)
-        for i, p, q in zip(where, ps, qs):
+        for i, (p, q) in zip(where, ratios):
             nums[i] += p * (den // q)
         # Terms of one monomial can cancel, so the sums may share a factor with den.
         nums, den = _lowest(nums, den)

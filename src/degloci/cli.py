@@ -1,14 +1,15 @@
 """Command-line front end for running scenarios.
 
 Exit codes: 0 on success, 1 on any scenario problem (bad file, bad flag,
-schema violation, inconsistent data) or a report stdout cannot encode, 2 when
-an internal consistency check fails, including cross-checks requested with
---check.
+schema violation, inconsistent data) or a report that cannot be written (stdout
+cannot encode it, is closed, is full or is a pipe with no reader), 2 when an
+internal consistency check fails, including cross-checks requested with --check.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import InternalCheckError, ScenarioError
@@ -62,6 +63,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(text: str) -> str | None:
+    """Write ``text`` to stdout and flush it; None, or why it could not be written."""
+    out = sys.stdout
+    if out is None:  # the process was started with stdout closed
+        return "standard output is closed"
+    try:
+        out.write(text)
+        out.flush()
+    except UnicodeEncodeError as exc:
+        return str(exc)
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit and would report the
+        # same failure: send what is left unwritten to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return str(exc)
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -76,10 +97,9 @@ def main(argv=None) -> int:
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
-    try:
-        sys.stdout.write(RENDERERS[args.format](report))
-    except UnicodeEncodeError as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+    problem = _write_report(RENDERERS[args.format](report))
+    if problem is not None:
+        print(f"error: cannot write the report: {problem}", file=sys.stderr)
         return 1
     if not report.all_checks_passed:
         print("error: cross-checks failed", file=sys.stderr)

@@ -9,9 +9,10 @@ from math import comb
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from properties import _naive_mul, _naive_power
-from strategies import KERNEL_SPACES, chow_elements, spaces
+from strategies import KERNEL_SPACES, chow_elements, exponent_vectors, rationals, spaces
 from degloci import (
     BundleClass,
     ChowElement,
@@ -269,6 +270,11 @@ _NOT_RATIONAL = "cannot parse rational from 'x'; expected '<int>' or '<int>/<int
         # The first faulty term is the one reported.
         ([((0, 1), "x"), ((1.0, 0), 1)], ValueError, _NOT_RATIONAL),
         ([((1.0, 0), 1), ((0, 1), "x")], ValueError, _NOT_NONNEGATIVE + "1.0"),
+        # The same terms as dicts, which are first tested as a whole map.
+        ({(0, 1): "x", (1.0, 0): 1}, ValueError, _NOT_RATIONAL),
+        ({(1.0, 0): 1, (0, 1): "x"}, ValueError, _NOT_NONNEGATIVE + "1.0"),
+        # Fraction(1) hashes like 1 too.
+        ({(Fraction(1), 0): 1}, ValueError, _NOT_NONNEGATIVE + "Fraction(1, 1)"),
     ],
 )
 def test_constructor_refuses_bad_terms(terms, error, message):
@@ -427,3 +433,65 @@ def test_kernel_selection():
         assert large.func is loop and large.args == (chow._table((9, 9)),)
     paths = {isinstance(chow._kernel(s.dims, "mul"), partial) for s in KERNEL_SPACES}
     assert paths == {True, False}
+
+
+class _Int(int):
+    """An int subclass, which the constructor reads through ``as_fraction``."""
+
+
+@st.composite
+def _term_maps(draw):
+    """(space, terms) on a kernel or chunked space.  In about half the draws
+    some keys lie outside the truncation and some coefficients are 'p/q' texts
+    or int subclasses, so the whole-map path hands the map to the loop."""
+    space = ProductSpace(draw(st.sampled_from(_KERNEL_DIMS + _CHUNKED_DIMS)))
+    plain = draw(st.booleans())
+    coefficients = rationals | st.integers(-9, 9)
+    if not plain:
+        coefficients |= rationals.map(str) | st.integers(-9, 9).map(_Int)
+    keys = exponent_vectors(space, slack=0 if plain else 1)
+    return space, draw(st.dictionaries(keys, coefficients, max_size=81))
+
+
+@settings(max_examples=100)
+@example((ProductSpace((1, 3)), {}), [])
+@example((ProductSpace((1, 3)), {(1, 0): Fraction(1, 2), (0, 1): 0}), [1])
+@given(_term_maps(), st.lists(st.integers(0, 2), max_size=3))
+def test_a_map_and_its_pairs_build_the_same_element(case, cancelling):
+    """A dict (the whole-map path or its fallback) and the same terms as a list
+    of pairs (the loop), with pairs that cancel appended, build one element:
+    the exact sum of the terms inside the truncation."""
+    space, terms = case
+    pairs = list(terms.items())
+    for first in cancelling:
+        e = (first,) + (0,) * (space.num_factors - 1)
+        pairs += [(e, Fraction(5, 3)), (e, Fraction(-5, 3))]
+    x = ChowElement(space, terms)
+    inside = {e: Fraction(c) for e, c in terms.items() if all(map(int.__le__, e, space.dims))}
+    assert x.terms == {e: c for e, c in inside.items() if c}
+    assert ChowElement(space, pairs) == x
+    assert ChowElement(space, x.terms) == x
+
+
+def test_a_dense_fraction_map_is_read_in_whole_map_passes(monkeypatch):
+    """ring_dense's inputs, 81 Fraction terms on (2, 2, 2, 2) as a dict or as a
+    term view, are type-checked in a constant number of ``_all_int`` calls,
+    where the same terms as pairs take one call per term."""
+    space = ProductSpace((2, 2, 2, 2))
+    terms = {
+        e: Fraction(i % 7 - 3, i % 4 + 1)
+        for i, e in enumerate(chow._table(space.dims).monomials)
+    }
+    calls = []
+
+    def counted(types):
+        calls.append(types)
+        return all_int(types)
+
+    all_int = chow._all_int
+    monkeypatch.setattr(chow, "_all_int", counted)
+    x = ChowElement(space, terms)
+    assert len(calls) == 1
+    assert ChowElement(space, x.terms) == x and len(calls) == 2
+    assert ChowElement(space, list(terms.items())) == x and len(calls) == 2 + len(terms)
+    assert x.terms == {e: c for e, c in terms.items() if c}

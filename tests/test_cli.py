@@ -5,12 +5,14 @@ catalogue in ``test_scenario`` lists runs through the CLI here.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,36 @@ def test_report_that_stdout_cannot_encode_exits_1(tmp_path, name, encoding):
         else:
             assert json.loads(out.buffer.getvalue())["scenario"] == name
             assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed pipe", "full device", "closed stdout"])
+def test_report_that_cannot_be_written_exits_1_without_a_traceback(target, buffered):
+    """A pipe with no reader, a full device and a closed stdout each end in one
+    error line and exit 1, with nothing printed when the interpreter exits."""
+    src = str(Path(degloci.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "degloci.cli", "--scenario", "m16"]
+    run = partial(subprocess.run, stderr=subprocess.PIPE, text=True, env=env)
+    if target == "closed pipe":
+        reader, writer = os.pipe()
+        os.close(reader)
+        with open(writer, "wb") as stdout:
+            proc = run(argv, stdout=stdout)
+        reason = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    elif target == "full device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as stdout:
+            proc = run(argv, stdout=stdout)
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    else:
+        proc = run(["sh", "-c", 'exec "$@" >&-', "sh", *argv])
+        reason = "standard output is closed"
+    assert (proc.returncode, proc.stderr) == (1, f"error: cannot write the report: {reason}\n")
 
 
 def test_noether_check_fails_on_an_error_common_to_both_formulas(monkeypatch, capsys):
